@@ -2,13 +2,15 @@
 bisection, and a brachistochrone discretization to exercise both.
 
 The layers, bottom up: :mod:`gridgrover.grover` simulates one real-valued
-search register; :mod:`gridgrover.search` runs one register per bucket
-with an adaptive iteration budget; :mod:`gridgrover.analysis` carries the
-closed-form success probabilities and runtime ceilings;
-:mod:`gridgrover.bisection` brackets an unknown minimum cost with range
-oracles; :mod:`gridgrover.trajectory` supplies the descent-time cost on
-discretized curves plus exhaustive baselines; :mod:`gridgrover.cli` wires
-everything into a reproducible experiment runner.
+search register and samples its measurement in closed form;
+:mod:`gridgrover.search` holds problems as per-bucket marked sets plus a
+global oracle and runs rounds with an adaptive iteration budget;
+:mod:`gridgrover.analysis` carries the closed-form success probabilities
+and runtime ceilings; :mod:`gridgrover.bisection` brackets an unknown
+minimum cost with range oracles; :mod:`gridgrover.trajectory` supplies
+the descent-time cost on discretized curves plus exhaustive baselines;
+:mod:`gridgrover.cli` wires everything into a reproducible experiment
+runner.
 """
 
 from .analysis import (
@@ -40,11 +42,11 @@ from .grover import (
     grover_iterate,
     invert_about_mean,
     measure,
+    measure_closed_form,
     success_probability,
     uniform_init,
 )
 from .search import (
-    BucketSpec,
     GridProblem,
     QueryLedger,
     RoundResult,

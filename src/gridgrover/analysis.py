@@ -60,7 +60,7 @@ class BucketStats:
 
 
 def stats_from_problem(problem: GridProblem) -> list[BucketStats]:
-    """Project every bucket's local oracle and derive its stats."""
+    """Stats of every bucket, from the problem's marked sets."""
     return [
         BucketStats.from_counts(ms.size, ms.count) for ms in problem.marked_sets()
     ]

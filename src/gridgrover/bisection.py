@@ -163,7 +163,7 @@ def run_bisect(
 
     ``problems(a, b)`` must return a GridProblem whose global oracle
     accepts exactly the paths with cost strictly inside (a, b) and whose
-    local oracles are consistent projections of that set.  ``epsilon``
+    marked sets are consistent projections of that set.  ``epsilon``
     optionally widens the upper end of each probed range (useful for
     continuous costs that sit numerically on a bracket endpoint).
 

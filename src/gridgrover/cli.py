@@ -254,15 +254,8 @@ def _run_chunked(fn: Callable, payloads: list, jobs: int) -> list:
         return list(pool.map(fn, payloads))
 
 
-def _rebuild_product(bucket_sizes: Sequence[int], marked: Sequence[Sequence[int]]) -> GridProblem:
-    return GridProblem.product(
-        [MarkedSet.from_indices(n, idxs) for n, idxs in zip(bucket_sizes, marked)]
-    )
-
-
 def _lemma_chunk(payload) -> list[int]:
-    bucket_sizes, marked, rows, seed, lo, hi = payload
-    problem = _rebuild_product(bucket_sizes, marked)
+    problem, rows, seed, lo, hi = payload
     hits = []
     for row_index, m in rows:
         count = 0
@@ -274,8 +267,7 @@ def _lemma_chunk(payload) -> list[int]:
 
 
 def _runtime_chunk(payload) -> list[tuple[int, bool, int, int]]:
-    bucket_sizes, marked, lam, max_rounds, strict, seed, lo, hi = payload
-    problem = _rebuild_product(bucket_sizes, marked)
+    problem, lam, max_rounds, strict, seed, lo, hi = payload
     rows = []
     for t in range(lo, hi):
         params = ScheduleParams(seed=derive_seed(seed, t), lam=lam, max_rounds=max_rounds, strict_paper=strict)
@@ -462,12 +454,8 @@ def _analyze_lemma(section, seed, jobs, problem, problem_echo, stats):
                         f"analyze.m_values: m={m} exceeds sqrt(n)={math.sqrt(s.n):.3f}; "
                         "capped draws would not match the closed form"
                     )
-        spec = (
-            tuple(problem_echo["bucket_sizes"]),
-            tuple(tuple(s) for s in problem_echo["marked"]),
-        )
         row_ids = list(enumerate(m_values))
-        payloads = [(*spec, row_ids, seed, lo, hi) for lo, hi in _chunks(trials, jobs)]
+        payloads = [(problem, row_ids, seed, lo, hi) for lo, hi in _chunks(trials, jobs)]
         per_chunk = _run_chunked(_lemma_chunk, payloads, jobs)
         totals = [sum(chunk[i] for chunk in per_chunk) for i in range(len(m_values))]
         for row, hits in zip(rows, totals):
@@ -506,12 +494,8 @@ def _analyze_runtime(section, seed, jobs, problem, problem_echo, stats):
     if trials < 1:
         raise ConfigError("analyze.trials must be >= 1")
 
-    spec = (
-        tuple(problem_echo["bucket_sizes"]),
-        tuple(tuple(s) for s in problem_echo["marked"]),
-    )
     payloads = [
-        (*spec, lam, max_rounds, params.strict_paper, seed, lo, hi)
+        (problem, lam, max_rounds, params.strict_paper, seed, lo, hi)
         for lo, hi in _chunks(trials, jobs)
     ]
     trial_rows = [row for chunk in _run_chunked(_runtime_chunk, payloads, jobs) for row in chunk]

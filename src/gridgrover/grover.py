@@ -8,13 +8,17 @@ leaves the real span and complex amplitudes are unnecessary.
 Closed-form amplitudes after ``j`` iterations are available through
 :func:`analytic_amplitudes` for the non-degenerate case ``0 < M < n``;
 the statevector path handles the degenerate marked counts exactly.
+:func:`measure_closed_form` samples the same measurement distribution
+without building the register, which is what the parallel search uses;
+the statevector maps stay as the reference it is tested against.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,6 +35,7 @@ __all__ = [
     "analytic_amplitudes",
     "success_probability",
     "measure",
+    "measure_closed_form",
 ]
 
 # Componentwise tolerance for statevector-vs-analytic agreement, and the
@@ -64,7 +69,7 @@ class Register:
 
 @dataclass(frozen=True)
 class MarkedSet:
-    """Subset of basis-state indices flagged by a bucket's local oracle."""
+    """Subset of a bucket's basis-state indices that are marked."""
 
     size: int
     marked: frozenset[int] = field(default_factory=frozenset)
@@ -188,3 +193,34 @@ def measure(register: Register, rng: np.random.Generator, shots: int | None = No
     idx = np.searchsorted(cum, u, side="right")
     idx = np.minimum(idx, register.n - 1)
     return int(idx) if shots is None else idx
+
+
+def measure_closed_form(marks: Sequence[int], n: int, times: int, u: float) -> int:
+    """Index that ``measure(grover_iterate(uniform_init(n), marked, times))``
+    returns for the uniform draw ``u``, without building the register.
+
+    ``marks`` are the marked indices in increasing order.  After ``times``
+    iterations every marked index has probability sin^2((2j+1) theta)/M
+    and every unmarked one cos^2((2j+1) theta)/(n-M) (uniform 1/n when
+    M is 0 or n), so the CDF in index order is piecewise linear between
+    marks: a binary search over the marks finds the unmarked run holding
+    ``u`` and a division finds the index inside it, in O(log M).
+    """
+    count = len(marks)
+    if 0 < count < n:
+        phase = (2 * times + 1) * math.asin(math.sqrt(count / n))
+        p_marked = math.sin(phase) ** 2 / count
+        p_unmarked = math.cos(phase) ** 2 / (n - count)
+    else:
+        p_marked = p_unmarked = 1.0 / n
+
+    def cdf_through(t: int) -> float:
+        # CDF up to and including the t-th mark
+        return (t + 1) * p_marked + (marks[t] - t) * p_unmarked
+
+    # marks whose cumulative mass is already <= u lie below the draw
+    below = bisect_right(range(count), u, key=cdf_through)
+    start, mass = (marks[below - 1] + 1, cdf_through(below - 1)) if below else (0, 0.0)
+    last = marks[below] if below < count else n - 1
+    # p_unmarked > 0: the cosine of a nonzero double is never exactly 0
+    return min(start + int((u - mass) / p_unmarked), last)

@@ -1,10 +1,16 @@
 """Parallel Grover search over a product grid of independent buckets.
 
-One search register per bucket is amplified with a locally drawn
-iteration count and measured; a classical global oracle then accepts or
-rejects the assembled index tuple.  The iteration budget ``m`` starts at
-1 and grows geometrically by a factor ``lam`` after every failed round,
-which handles unknown marked counts without estimating them.
+A problem is one marked set per bucket plus a classical global oracle.
+Each round draws an iteration count j per bucket and measures the
+register that j Grover iterations from uniform would hold; the global
+oracle then accepts or rejects the assembled index tuple.  The
+measurement is sampled from its closed form
+(:func:`~gridgrover.grover.measure_closed_form`): after j iterations the
+marked indices share one probability and the unmarked ones another, so
+no statevector is built and a draw costs O(log M) whatever the bucket
+size.  The iteration budget ``m`` starts at 1 and grows geometrically by
+a factor ``lam`` after every failed round, which handles unknown marked
+counts without estimating them.
 
 Draws use the inclusive range ``{0, ..., ceil(m-1)}``.  Once ``m``
 exceeds ``sqrt(n_i)`` the draw for bucket ``i`` is capped at
@@ -15,17 +21,20 @@ that leaves such buckets uniform (``j_i = 0``).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .grover import MarkedSet, apply_oracle, invert_about_mean, uniform_init
+from .grover import MarkedSet, measure_closed_form
+# Unused here: the traced replay in perfbench/tracing.py patches these
+# three names on this module.
+from .grover import apply_oracle, invert_about_mean, uniform_init  # noqa: F401
 
 __all__ = [
-    "BucketSpec",
     "GridProblem",
     "ScheduleParams",
     "QueryLedger",
@@ -75,94 +84,46 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(state[0]) ^ (int(state[1]) << 32)
 
 
-@dataclass(frozen=True)
-class BucketSpec:
-    """One search bucket: its size and a local membership oracle."""
-
-    n: int
-    local_oracle: Callable[[int], bool]
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("bucket size must be >= 1")
-
-    def marked_set(self) -> MarkedSet:
-        """Evaluate the local oracle on every index (desk-scale projection)."""
-        return MarkedSet.from_indices(self.n, (i for i in range(self.n) if self.local_oracle(i)))
+def _in_every_set(sets: Sequence[MarkedSet], path: tuple[int, ...]) -> bool:
+    return len(path) == len(sets) and all(p in s.marked for p, s in zip(path, sets))
 
 
 @dataclass
 class GridProblem:
-    """Product search space with per-bucket local oracles and a global oracle.
+    """Product search space: one marked set per bucket plus a global oracle.
 
-    In product mode the global oracle is exactly the conjunction of the
-    local oracles; cost-driven problems supply a stricter global oracle
-    and the local oracles only over-approximate it.
+    The marked sets drive each bucket's amplification; the global oracle
+    judges the assembled tuple.  In product mode it is exactly the
+    conjunction of the marked sets; cost-driven problems supply a
+    stricter global oracle and the marked sets only over-approximate it.
     """
 
-    buckets: list[BucketSpec]
+    marked: Sequence[MarkedSet]
     global_oracle: Callable[[tuple[int, ...]], bool]
-    product_mode: bool = False
-    _marked: list[MarkedSet] | None = field(default=None, repr=False, compare=False)
-    _cum_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _sorted_marks: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.buckets:
+        self.marked = tuple(self.marked)
+        if not self.marked:
             raise ValueError("grid problem needs at least one bucket")
+        self._sorted_marks = tuple(tuple(sorted(ms.marked)) for ms in self.marked)
 
     @property
     def k(self) -> int:
-        return len(self.buckets)
+        return len(self.marked)
 
     @property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(b.n for b in self.buckets)
+        return tuple(ms.size for ms in self.marked)
 
     @classmethod
     def product(cls, marked_sets: Sequence[MarkedSet]) -> "GridProblem":
         """Build a product-mode problem straight from marked sets."""
-        sets = list(marked_sets)
-        buckets = [
-            BucketSpec(n=ms.size, local_oracle=(lambda i, s=ms.marked: i in s)) for ms in sets
-        ]
-
-        def global_oracle(path: tuple[int, ...], _sets=sets) -> bool:
-            return len(path) == len(_sets) and all(p in s.marked for p, s in zip(path, _sets))
-
-        problem = cls(buckets=buckets, global_oracle=global_oracle, product_mode=True)
-        problem._marked = sets
-        return problem
+        sets = tuple(marked_sets)
+        return cls(marked=sets, global_oracle=functools.partial(_in_every_set, sets))
 
     def marked_sets(self) -> list[MarkedSet]:
-        if self._marked is None:
-            self._marked = [b.marked_set() for b in self.buckets]
-        return self._marked
-
-    def _state(self, bucket: int, times: int):
-        """Register state of one bucket after ``times`` Grover iterations
-        from uniform (memoized; the maps are deterministic so caching is
-        exact)."""
-        key = ("state", bucket, times)
-        state = self._cum_cache.get(key)
-        if state is None:
-            if times == 0:
-                state = uniform_init(self.buckets[bucket].n)
-            else:
-                marked = self.marked_sets()[bucket]
-                state = invert_about_mean(apply_oracle(self._state(bucket, times - 1), marked))
-            self._cum_cache[key] = state
-        return state
-
-    def _cumulative(self, bucket: int, times: int) -> np.ndarray:
-        """Cumulative measurement distribution for :meth:`_state`."""
-        key = ("cum", bucket, times)
-        cum = self._cum_cache.get(key)
-        if cum is None:
-            amps = self._state(bucket, times).amplitudes
-            cum = np.cumsum(amps * amps)
-            cum /= cum[-1]
-            self._cum_cache[key] = cum
-        return cum
+        return list(self.marked)
 
 
 @dataclass(frozen=True)
@@ -197,7 +158,7 @@ class ScheduleParams:
 
 def default_max_rounds(problem: GridProblem, lam: float) -> int:
     """4*ceil(log_lam(max_i sqrt(n_i))) + 64 rounds."""
-    biggest = max(math.sqrt(b.n) for b in problem.buckets)
+    biggest = max(math.sqrt(n) for n in problem.sizes)
     ramp = 0 if biggest <= 1.0 else math.ceil(math.log(biggest) / math.log(lam))
     return 4 * ramp + 64
 
@@ -247,22 +208,21 @@ def run_round(
 
     For each bucket: draw j uniformly from {0, ..., ceil(m-1)} (capped
     at ceil(sqrt(n_i)) once m > sqrt(n_i), or forced to 0 under
-    ``strict_paper``), run j Grover iterations from uniform, measure.
+    ``strict_paper``), then measure the register j Grover iterations
+    from uniform would hold, sampled from its closed form.
     """
     if m < 1.0:
         raise ValueError("iteration budget m must be >= 1")
     draws: list[int] = []
     outcome: list[int] = []
-    for i, bucket in enumerate(problem.buckets):
-        root = math.sqrt(bucket.n)
+    for marks, n in zip(problem._sorted_marks, problem.sizes):
+        root = math.sqrt(n)
         if m > root:
             hi = 0 if strict_paper else math.ceil(root)
         else:
             hi = math.ceil(m - 1)
         j = int(rng.integers(0, hi + 1)) if hi > 0 else 0
-        cum = problem._cumulative(i, j)
-        idx = int(np.searchsorted(cum, rng.random(), side="right"))
-        outcome.append(min(idx, bucket.n - 1))
+        outcome.append(measure_closed_form(marks, n, j, rng.random()))
         draws.append(j)
     path = tuple(outcome)
     return RoundResult(path=path, iterations=tuple(draws), accepted=bool(problem.global_oracle(path)))
@@ -315,14 +275,12 @@ def exhaustive_search(problem: GridProblem, cap: int = 10_000_000) -> SearchOutc
     lexicographic order, one global-oracle call per tuple, stop at the
     first accept.  Worst case visits every tuple (the Theta(prod n_i)
     cost the amplified search is measured against)."""
-    space = 1
-    for b in problem.buckets:
-        space *= b.n
+    space = math.prod(problem.sizes)
     if space > cap:
         raise ValueError(f"search space {space} exceeds enumeration cap {cap}")
     ledger = QueryLedger.zero(problem.k)
     ledger.rounds = 1
-    for path in itertools.product(*(range(b.n) for b in problem.buckets)):
+    for path in itertools.product(*(range(n) for n in problem.sizes)):
         ledger.global_oracle_calls += 1
         if problem.global_oracle(path):
             return SearchOutcome(True, path, 1, ledger)

@@ -34,7 +34,7 @@ from numpy.polynomial import Polynomial
 from numpy.polynomial.legendre import leggauss
 
 from .grover import MarkedSet
-from .search import BucketSpec, GridProblem
+from .search import GridProblem
 
 __all__ = [
     "DESK_SCALE_CAP",
@@ -398,8 +398,8 @@ def enumerate_solution_paths(query: SolutionSetQuery) -> list[tuple[int, ...]]:
 
 
 def derive_local_marked_sets(query: SolutionSetQuery) -> list[MarkedSet]:
-    """Column-wise projections of the window's solution set (the local
-    oracles handed to the parallel search)."""
+    """Column-wise projections of the window's solution set (the marked
+    sets handed to the parallel search)."""
     return query.table().marked_sets(query.lower, query.upper)
 
 
@@ -437,9 +437,10 @@ def brute_force_minimum(
 class RangeProblemFamily:
     """Builds the (a, b) range-search problem for any bracket on demand.
 
-    Costs are tabulated once; each bracket re-projects the marked sets
-    from the table and the global oracle checks the tabulated cost, so
-    repeated brackets over the same space stay cheap and consistent.
+    Costs are tabulated once; each bracket's problem is the table's
+    per-column projection of the window (its marked sets) plus a global
+    oracle that checks the tabulated cost, so repeated brackets over the
+    same space stay cheap and consistent.
     """
 
     table: CostTable
@@ -451,18 +452,11 @@ class RangeProblemFamily:
         return cls(table=CostTable.build(sizes, cost, cap=cap))
 
     def __call__(self, a: float, b: float) -> GridProblem:
-        marked = self.table.marked_sets(a, b)
-        buckets = [
-            BucketSpec(n=ms.size, local_oracle=(lambda i, s=ms.marked: i in s)) for ms in marked
-        ]
-
         def oracle(path: tuple[int, ...], _t=self.table, _a=a, _b=b) -> bool:
             c = _t.cost_of(path)
             return _a < c < _b
 
-        problem = GridProblem(buckets=buckets, global_oracle=oracle)
-        problem._marked = marked
-        return problem
+        return GridProblem(marked=self.table.marked_sets(a, b), global_oracle=oracle)
 
     def cost_of(self, path: Sequence[int]) -> float:
         return self.table.cost_of(path)

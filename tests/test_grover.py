@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from gridgrover import (
@@ -13,6 +15,7 @@ from gridgrover import (
     grover_iterate,
     invert_about_mean,
     measure,
+    measure_closed_form,
     success_probability,
     uniform_init,
 )
@@ -135,3 +138,25 @@ def test_validation_errors():
         grover_iterate(uniform_init(4), MarkedSet.from_indices(4, [0]), -1)
     with pytest.raises(ValueError):
         apply_oracle(uniform_init(4), MarkedSet.from_indices(5, [0]))
+
+
+@st.composite
+def bucket_draws(draw):
+    n = draw(st.integers(1, 512))
+    marks = sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+    times = draw(st.integers(0, 64))
+    u = draw(st.floats(0.0, 1.0, exclude_max=True))
+    return n, marks, times, u
+
+
+@settings(max_examples=300, deadline=None)
+@given(bucket_draws())
+def test_closed_form_sampler_inverts_statevector_cdf(case):
+    n, marks, times, u = case
+    amps = grover_iterate(uniform_init(n), MarkedSet.from_indices(n, marks), times).amplitudes
+    cum = np.cumsum(amps * amps)
+    cum /= cum[-1]
+    # a draw within rounding distance of a CDF step may land either side
+    assume(np.min(np.abs(cum - u)) > 1e-9)
+    want = min(int(np.searchsorted(cum, u, side="right")), n - 1)
+    assert measure_closed_form(marks, n, times, u) == want

@@ -1,4 +1,7 @@
+import functools
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,10 +14,13 @@ from gridgrover import (
     default_max_rounds,
     derive_seed,
     exhaustive_search,
+    grover_iterate,
     lambda_upper_bound,
+    measure,
     run_grid_search,
     run_round,
     trial_rng,
+    uniform_init,
 )
 
 
@@ -167,3 +173,64 @@ def test_cost_mode_problem_rejects_cross_paths():
     assert sorted(sets[1].marked) == [2, 3]
     assert prob.global_oracle((2, 3))
     assert not prob.global_oracle((2, 2))  # sum 4: in the product, not a solution
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_register(ms: MarkedSet, times: int):
+    return grover_iterate(uniform_init(ms.size), ms, times)
+
+
+def _reference_round(ms, m, rng, strict_paper):
+    """One-bucket run_round, measured on the statevector instead of the closed form."""
+    root = math.sqrt(ms.size)
+    if m > root:
+        hi = 0 if strict_paper else math.ceil(root)
+    else:
+        hi = math.ceil(m - 1)
+    j = int(rng.integers(0, hi + 1)) if hi > 0 else 0
+    return (int(measure(_reference_register(ms, j), rng)),), (j,)
+
+
+def _marks(n: int, count: int) -> list[int]:
+    if count == 1:
+        return [n // 3]
+    return sorted(np.random.default_rng(n).choice(n, size=count, replace=False).tolist())
+
+
+@pytest.mark.parametrize("n", [4, 100, 4096])
+@pytest.mark.parametrize("fraction", ["none", "one", "quarter", "all"])
+def test_run_round_matches_statevector_reference(n, fraction):
+    count = {"none": 0, "one": 1, "quarter": n // 4, "all": n}[fraction]
+    ms = MarkedSet.from_indices(n, _marks(n, count))
+    prob = GridProblem.product([ms])
+    root = math.sqrt(n)
+    # budgets below sqrt(n), and above it both capped and strict
+    for m, strict in [(root / 2 + 0.5, False), (2 * root, False), (2 * root, True)]:
+        for seed in range(200):
+            got_rng, want_rng = trial_rng(seed, n, count), trial_rng(seed, n, count)
+            got = run_round(prob, m, got_rng, strict_paper=strict)
+            want = _reference_round(ms, m, want_rng, strict)
+            assert (got.path, got.iterations) == want, (m, strict, seed)
+            assert got_rng.random() == want_rng.random()
+
+
+def test_huge_buckets_sample_without_statevectors():
+    n = 2**40
+    prob = GridProblem.product([MarkedSet.from_indices(n, [n // 7 * i]) for i in (1, 3, 5)])
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        res = run_round(prob, float(2**21), trial_rng(4, 0))
+        round_s = time.perf_counter() - start
+        start = time.perf_counter()
+        out = run_grid_search(prob, ScheduleParams(seed=4, max_rounds=50))
+        search_s = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert round_s < 1.0 and search_s < 1.0
+    # one n-sized float array would take 8 TiB
+    assert peak < 1 << 20
+    assert all(0 <= p < n for p in res.path)
+    assert all(0 <= j <= 2**20 for j in res.iterations)
+    assert out.ledger.rounds == out.rounds_used <= 50
