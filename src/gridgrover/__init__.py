@@ -20,6 +20,7 @@ from .analysis import (
     avg_success_probability,
     empirical_vs_closed_form,
     lemma_threshold,
+    runtime_trials,
     stats_from_problem,
     theorem_bounds,
     trig_identity_residual,

@@ -11,18 +11,34 @@ alpha* = max_i 1/sin(2 theta_i).  That threshold also sets the runtime
 ceiling: the expected total Grover-iteration count of the adaptive
 schedule is bounded by the pre-critical plus post-critical terms
 computed in :func:`theorem_bounds`.
+
+The trial sweeps that check these closed forms by simulation,
+:func:`empirical_vs_closed_form` and :func:`runtime_trials`, split their
+trials into ``jobs`` contiguous ranges run on a process pool.  Every
+trial draws from its own generator, derived from the master seed and the
+trial's indices, so the results do not depend on ``jobs``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from concurrent import futures
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .grover import RotationAngle
-from .search import GridProblem, run_round, trial_rng
+from .search import (
+    GridProblem,
+    ScheduleParams,
+    SearchOutcome,
+    derive_seed,
+    run_grid_search,
+    run_round,
+    trial_rng,
+)
 
 __all__ = [
     "BucketStats",
@@ -34,6 +50,7 @@ __all__ = [
     "lemma_threshold",
     "theorem_bounds",
     "empirical_vs_closed_form",
+    "runtime_trials",
 ]
 
 
@@ -158,13 +175,28 @@ class LemmaCheckRow:
     within_band: bool
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "closed_form": self.closed_form,
-            "empirical": self.empirical,
-            "sigma": self.sigma,
-            "within_band": self.within_band,
-        }
+        return asdict(self)
+
+
+def _over_trials(worker: Callable, args: tuple, trials: int, jobs: int) -> list:
+    """``worker(*args, lo, hi)`` for ``jobs`` contiguous ranges [lo, hi)
+    covering range(trials), in range order; with ``jobs`` > 1 they run on
+    a process pool, so ``worker`` and ``args`` must pickle."""
+    jobs = max(1, min(jobs, trials))
+    bounds = [i * trials // jobs for i in range(jobs + 1)]
+    call = functools.partial(worker, *args)
+    if jobs == 1:
+        return [call(0, trials)]
+    with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(call, bounds[:-1], bounds[1:]))
+
+
+def _lemma_hits(problem: GridProblem, m_values: list[int], seed: int, lo: int, hi: int) -> list[int]:
+    """Accepted single rounds per m over trials lo..hi-1."""
+    return [
+        sum(run_round(problem, float(m), trial_rng(seed, row, t)).accepted for t in range(lo, hi))
+        for row, m in enumerate(m_values)
+    ]
 
 
 def empirical_vs_closed_form(
@@ -173,6 +205,7 @@ def empirical_vs_closed_form(
     trials: int,
     seed: int,
     band_sigmas: float = 3.0,
+    jobs: int = 1,
 ) -> list[LemmaCheckRow]:
     """Monte Carlo single-round success frequency against P_m.
 
@@ -180,32 +213,30 @@ def empirical_vs_closed_form(
     acceptance frequency with the closed form, flagging rows outside the
     binomial ``band_sigmas`` band.  Every m must stay within the uncapped
     draw regime (m <= sqrt(n_i) for all buckets) so the simulated draw
-    set {0,...,m-1} is exactly the one the closed form averages over.
+    set {0,...,m-1} is exactly the one the closed form averages over;
+    all m are checked before any trial runs.
 
-    Each trial gets its own generator derived from (seed, row, trial),
-    so frequencies do not depend on how trials are batched across
-    workers.
+    ``jobs`` worker processes each take a contiguous range of trials.
+    Trial t of row r draws from its own generator derived from
+    (seed, r, t), so the frequencies are the same for every ``jobs``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     stats = stats_from_problem(problem)
+    m_values = list(m_values)
+    closed_forms = [avg_success_probability(m, stats) for m in m_values]
+    root = min(math.sqrt(s.n) for s in stats)
+    for m in m_values:
+        if m > root:
+            raise ValueError(
+                f"m={m} exceeds sqrt(n)={root:.3f}: capped draws would "
+                "no longer match the closed form"
+            )
+    m_values = [int(m) for m in m_values]
+    chunks = _over_trials(_lemma_hits, (problem, m_values, seed), trials, jobs)
     rows: list[LemmaCheckRow] = []
-    for row_index, m in enumerate(m_values):
-        if m < 1 or int(m) != m:
-            raise ValueError("m values must be integers >= 1")
-        m = int(m)
-        for s in stats:
-            if m > math.sqrt(s.n):
-                raise ValueError(
-                    f"m={m} exceeds sqrt(n)={math.sqrt(s.n):.3f}: capped draws would "
-                    "no longer match the closed form"
-                )
-        closed = avg_success_probability(m, stats)
-        hits = 0
-        for t in range(trials):
-            if run_round(problem, float(m), trial_rng(seed, row_index, t)).accepted:
-                hits += 1
-        empirical = hits / trials
+    for m, closed, *hits in zip(m_values, closed_forms, *chunks):
+        empirical = sum(hits) / trials
         sigma = math.sqrt(closed * (1.0 - closed) / trials)
         rows.append(
             LemmaCheckRow(
@@ -217,3 +248,29 @@ def empirical_vs_closed_form(
             )
         )
     return rows
+
+
+def _search_trials(
+    problem: GridProblem, params: ScheduleParams, lo: int, hi: int
+) -> list[SearchOutcome]:
+    return [
+        run_grid_search(problem, replace(params, seed=derive_seed(params.seed, t)))
+        for t in range(lo, hi)
+    ]
+
+
+def runtime_trials(
+    problem: GridProblem, params: ScheduleParams, trials: int, jobs: int = 1
+) -> list[SearchOutcome]:
+    """One :func:`run_grid_search` per trial, the sample behind the
+    expected-iteration bound of :func:`theorem_bounds`; trial t runs with
+    ``params`` reseeded to ``derive_seed(params.seed, t)``.
+
+    ``jobs`` worker processes each take a contiguous range of trials; no
+    generator is shared across trials, so the outcomes do not depend on
+    ``jobs``.
+    """
+    if trials < 1:
+        raise ValueError("need at least one trial")
+    chunks = _over_trials(_search_trials, (problem, params), trials, jobs)
+    return [outcome for chunk in chunks for outcome in chunk]

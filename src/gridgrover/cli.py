@@ -7,9 +7,9 @@ Outputs land in the ``--out`` directory: always a ``report.json``
 the structured result; tabular sweeps additionally get CSV files with a
 header row, ``.`` decimal separator, and LF line endings.  Timestamps
 are informational only; everything else reproduces byte-identically for
-a fixed config and seed at any ``--jobs`` value (per-trial generators
-are derived from the master seed and the trial index, never shared
-across trials).
+a fixed config and seed at any ``--jobs`` value, which is handed to the
+library's trial sweeps (:func:`~gridgrover.analysis.empirical_vs_closed_form`
+and :func:`~gridgrover.analysis.runtime_trials`).
 
 Exit codes: 0 success, 1 config or usage error, 2 search exhausted.
 """
@@ -21,30 +21,24 @@ import csv
 import json
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .analysis import (
     avg_success_probability,
+    empirical_vs_closed_form,
     lemma_threshold,
+    runtime_trials,
     stats_from_problem,
     theorem_bounds,
 )
 from .bisection import initial_upper_bound, run_bisect
 from .grover import MarkedSet
-from .search import (
-    GridProblem,
-    ScheduleParams,
-    derive_seed,
-    run_grid_search,
-    run_round,
-    trial_rng,
-)
+from .search import GridProblem, ScheduleParams, run_grid_search, trial_rng
 from .trajectory import (
     BrachistochroneCost,
     CostTable,
@@ -132,13 +126,29 @@ def _require(section: dict, key: str, where: str):
     return section[key]
 
 
+def _int(value, where: str) -> int:
+    # JSON numbers arrive as int or float, and bool is an int subclass;
+    # truncating 2.6 or true would silently run another experiment
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{where} must be an integer, got {json.dumps(value)}")
+
+
 def _int_list(value, where: str) -> list[int]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{where} must be a non-empty list of integers")
-    try:
-        return [int(v) for v in value]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where} must contain integers") from exc
+    return [_int(v, f"{where}[{i}]") for i, v in enumerate(value)]
+
+
+def _bracket(value, where: str) -> tuple[float, float]:
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ConfigError(f"{where} must be [a, b]")
+    a, b = float(value[0]), float(value[1])
+    if not a < b:
+        raise ConfigError(f"{where} needs a < b")
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +173,7 @@ def _quadrature_config(spec, where: str) -> QuadratureConfig:
         return QuadratureConfig()
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be an object")
-    allowed = {"base_panels", "nodes_per_panel", "max_panels", "rel_tol"}
-    unknown = set(spec) - allowed
+    unknown = set(spec) - {f.name for f in fields(QuadratureConfig)}
     if unknown:
         raise ConfigError(f"{where} has unknown keys: {sorted(unknown)}")
     return QuadratureConfig(**spec)
@@ -187,9 +196,9 @@ def _brachistochrone_cost(spec: dict, where: str):
         grid = Grid(abscissae=xs, columns=cols, start=(0.0, 2.0), end=(math.pi, 0.0))
         grid_echo = {"columns": [[float(v) for v in c] for c in cols]}
     else:
-        k = int(_require(spec, "k", where))
+        k = _int(_require(spec, "k", where), f"{where}.k")
         n = _require(spec, "n", where)
-        n = _int_list(n, f"{where}.n") if isinstance(n, list) else int(n)
+        n = _int_list(n, f"{where}.n") if isinstance(n, list) else _int(n, f"{where}.n")
         grid = build_brachistochrone_grid(k, n)
         grid_echo = {"k": k, "n": list(grid.sizes)}
     cost = BrachistochroneCost(grid=grid, g=g, quadrature=quadrature, kind=kind)
@@ -198,37 +207,35 @@ def _brachistochrone_cost(spec: dict, where: str):
         **grid_echo,
         "g": g,
         "interpolation": kind,
-        "quadrature": {
-            "base_panels": quadrature.base_panels,
-            "nodes_per_panel": quadrature.nodes_per_panel,
-            "max_panels": quadrature.max_panels,
-            "rel_tol": quadrature.rel_tol,
-        },
+        "quadrature": asdict(quadrature),
     }
     return grid, cost, echo
 
 
 def _build_cost(spec, where: str):
-    """(sizes, cost, echo, grid-or-None) from a typed cost config block."""
+    """(sizes, cost, echo) from a typed cost config block."""
     if not isinstance(spec, dict):
         raise ConfigError(f"{where} must be an object")
     kind = spec.get("type")
     if kind == "brachistochrone":
         grid, cost, echo = _brachistochrone_cost(spec, where)
-        return grid.sizes, cost, echo, grid
+        return grid.sizes, cost, echo
     if kind == "index_sum":
         sizes = tuple(_int_list(_require(spec, "sizes", where), f"{where}.sizes"))
         offset = float(spec.get("offset", 0.0))
         echo = {"type": "index_sum", "sizes": list(sizes), "offset": offset}
-        return sizes, IndexSumCost(sizes=sizes, offset=offset), echo, None
+        return sizes, IndexSumCost(sizes=sizes, offset=offset), echo
     raise ConfigError(f"{where}.type must be 'brachistochrone' or 'index_sum'")
 
 
-def _schedule(section: dict, seed: int, problem: GridProblem) -> tuple[ScheduleParams, dict]:
+def _schedule(
+    section: dict, where: str, seed: int, problem: GridProblem
+) -> tuple[ScheduleParams, dict]:
+    max_rounds = section.get("max_rounds")
     params = ScheduleParams(
         seed=seed,
         lam=section.get("lambda"),
-        max_rounds=section.get("max_rounds"),
+        max_rounds=None if max_rounds is None else _int(max_rounds, f"{where}.max_rounds"),
         strict_paper=bool(section.get("strict_paper", False)),
     )
     lam, max_rounds = params.resolve(problem)
@@ -236,44 +243,47 @@ def _schedule(section: dict, seed: int, problem: GridProblem) -> tuple[ScheduleP
     return params, echo
 
 
-# ---------------------------------------------------------------------------
-# trial sweeps (picklable workers; contiguous chunks keep output identical
-# for every --jobs value because each trial owns a derived generator)
+def _bisect(
+    section: dict, where: str, seed: int, family: RangeProblemFamily
+) -> tuple[dict, dict]:
+    """Run the bisection a config section describes; (result, echo).
+
+    Without ``b0`` the upper end is bootstrapped deterministically: the
+    first finite cost above a0 among up to 64 seeded random paths.
+    """
+    a0 = float(section.get("a0", 0.0))
+    b0 = section.get("b0")
+    if b0 is None:
+        rng = trial_rng(seed)
+        for _ in range(64):
+            b0 = initial_upper_bound(family.table, family.cost_of, rng)
+            if math.isfinite(b0) and b0 > a0:
+                break
+        else:
+            raise ConfigError("could not bootstrap a finite upper bound; set b0 explicitly")
+    b0 = float(b0)
+    max_count = _int(section.get("max_count", 16), f"{where}.max_count")
+    epsilon = float(section.get("epsilon", 0.0))
+    backend = section.get("backend", "grover")
+    # the bracket only fixes the problem's shape here; resolve() needs k
+    params, schedule_echo = _schedule(section, where, seed, family(a0, b0))
+    result = run_bisect(
+        family, family.cost_of, a0, b0, max_count, params, backend=backend, epsilon=epsilon
+    )
+    echo = {
+        "a0": a0,
+        "b0": b0,
+        "max_count": max_count,
+        "epsilon": epsilon,
+        "backend": backend,
+        **schedule_echo,
+    }
+    return result.to_dict(), echo
 
 
-def _chunks(trials: int, jobs: int) -> list[tuple[int, int]]:
-    jobs = max(1, min(jobs, trials))
-    bounds = [i * trials // jobs for i in range(jobs + 1)]
-    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo < hi]
-
-
-def _run_chunked(fn: Callable, payloads: list, jobs: int) -> list:
-    if jobs <= 1 or len(payloads) <= 1:
-        return [fn(p) for p in payloads]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, payloads))
-
-
-def _lemma_chunk(payload) -> list[int]:
-    problem, rows, seed, lo, hi = payload
-    hits = []
-    for row_index, m in rows:
-        count = 0
-        for t in range(lo, hi):
-            if run_round(problem, float(m), trial_rng(seed, row_index, t)).accepted:
-                count += 1
-        hits.append(count)
-    return hits
-
-
-def _runtime_chunk(payload) -> list[tuple[int, bool, int, int]]:
-    problem, lam, max_rounds, strict, seed, lo, hi = payload
-    rows = []
-    for t in range(lo, hi):
-        params = ScheduleParams(seed=derive_seed(seed, t), lam=lam, max_rounds=max_rounds, strict_paper=strict)
-        outcome = run_grid_search(problem, params)
-        rows.append((t, outcome.success, outcome.rounds_used, outcome.ledger.total_grover_iterations))
-    return rows
+def _table(rows: list[dict]) -> tuple[list[str], list[list]]:
+    """CSV header and rows from dicts that share their keys and key order."""
+    return list(rows[0]), [list(row.values()) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -285,65 +295,30 @@ def cmd_search(section: dict, seed: int, jobs: int):
         problem, problem_echo = _product_problem(section, "search")
         effective = {"problem": problem_echo}
     elif "cost" in section:
-        bounds = _require(section, "bounds", "search")
-        if not (isinstance(bounds, list) and len(bounds) == 2):
-            raise ConfigError("search.bounds must be [a, b]")
-        a, b = float(bounds[0]), float(bounds[1])
-        if not a < b:
-            raise ConfigError("search.bounds needs a < b")
-        sizes, cost, cost_echo, _grid = _build_cost(section["cost"], "search.cost")
+        a, b = _bracket(_require(section, "bounds", "search"), "search.bounds")
+        sizes, cost, cost_echo = _build_cost(section["cost"], "search.cost")
         problem = RangeProblemFamily.from_cost(sizes, cost)(a, b)
         effective = {"problem": {"cost": cost_echo, "bounds": [a, b]}}
     else:
         raise ConfigError("search needs bucket_sizes+marked or cost+bounds")
-    params, schedule_echo = _schedule(section, seed, problem)
+    params, schedule_echo = _schedule(section, "search", seed, problem)
     effective.update(schedule_echo)
     outcome = run_grid_search(problem, params)
     code = EXIT_OK if outcome.success else EXIT_EXHAUSTED
     return code, effective, outcome.to_dict(), {}
 
 
-def _bootstrap_upper_bound(sizes, cost, seed: int, a0: float) -> float:
-    """Deterministic b0: cost of seeded random paths, first finite one > a0."""
-    rng = trial_rng(seed)
-    for _ in range(64):
-        candidate = initial_upper_bound(sizes, cost, rng)
-        if math.isfinite(candidate) and candidate > a0:
-            return candidate
-    raise ConfigError("could not bootstrap a finite upper bound; set b0 explicitly")
-
-
 def cmd_bisect(section: dict, seed: int, jobs: int):
-    sizes, cost, cost_echo, _grid = _build_cost(_require(section, "cost", "bisect"), "bisect.cost")
-    family = RangeProblemFamily.from_cost(sizes, cost)
-    a0 = float(section.get("a0", 0.0))
-    b0 = section.get("b0")
-    b0 = _bootstrap_upper_bound(sizes, family.cost_of, seed, a0) if b0 is None else float(b0)
-    max_count = int(section.get("max_count", 16))
-    epsilon = float(section.get("epsilon", 0.0))
-    backend = section.get("backend", "grover")
-    # the bracket only fixes the problem's shape here; resolve() needs k
-    params, schedule_echo = _schedule(section, seed, family(a0, b0))
-    result = run_bisect(
-        family, family.cost_of, a0, b0, max_count, params, backend=backend, epsilon=epsilon
-    )
-    effective = {
-        "cost": cost_echo,
-        "a0": a0,
-        "b0": b0,
-        "max_count": max_count,
-        "epsilon": epsilon,
-        "backend": backend,
-        **schedule_echo,
-    }
-    return EXIT_OK, effective, result.to_dict(), {}
+    sizes, cost, cost_echo = _build_cost(_require(section, "cost", "bisect"), "bisect.cost")
+    result, echo = _bisect(section, "bisect", seed, RangeProblemFamily.from_cost(sizes, cost))
+    return EXIT_OK, {"cost": cost_echo, **echo}, result, {}
 
 
 def cmd_brachistochrone(section: dict, seed: int, jobs: int):
     grid, cost, cost_echo = _brachistochrone_cost(section, "brachistochrone")
     table = CostTable.build(grid.sizes, cost)
     min_path, min_cost = table.minimum()
-    samples = int(section.get("curve_samples", 101))
+    samples = _int(section.get("curve_samples", 101), "brachistochrone.curve_samples")
     if samples < 2:
         raise ConfigError("brachistochrone.curve_samples must be >= 2")
     curve = interpolate(grid, min_path, kind=cost.kind)
@@ -360,12 +335,7 @@ def cmd_brachistochrone(section: dict, seed: int, jobs: int):
     effective = {**cost_echo, "curve_samples": samples}
 
     if "enumerate" in section:
-        bounds = section["enumerate"]
-        if not (isinstance(bounds, list) and len(bounds) == 2):
-            raise ConfigError("brachistochrone.enumerate must be [a, b]")
-        a, b = float(bounds[0]), float(bounds[1])
-        if not a < b:
-            raise ConfigError("brachistochrone.enumerate needs a < b")
+        a, b = _bracket(section["enumerate"], "brachistochrone.enumerate")
         effective["enumerate"] = [a, b]
         sol_paths = table.solution_paths(a, b)
         query = SolutionSetQuery(a, b, grid, cost, _table=table)
@@ -382,30 +352,9 @@ def cmd_brachistochrone(section: dict, seed: int, jobs: int):
         sub = section["bisect"]
         if not isinstance(sub, dict):
             raise ConfigError("brachistochrone.bisect must be an object")
-        family = RangeProblemFamily(table)
-        a0 = float(sub.get("a0", 0.0))
-        b0 = sub.get("b0")
-        b0 = (
-            _bootstrap_upper_bound(grid.sizes, family.cost_of, seed, a0)
-            if b0 is None
-            else float(b0)
+        result["bisect"], effective["bisect"] = _bisect(
+            sub, "brachistochrone.bisect", seed, RangeProblemFamily(table)
         )
-        max_count = int(sub.get("max_count", 16))
-        epsilon = float(sub.get("epsilon", 0.0))
-        backend = sub.get("backend", "grover")
-        params, schedule_echo = _schedule(sub, seed, family(a0, b0))
-        inner = run_bisect(
-            family, family.cost_of, a0, b0, max_count, params, backend=backend, epsilon=epsilon
-        )
-        result["bisect"] = inner.to_dict()
-        effective["bisect"] = {
-            "a0": a0,
-            "b0": b0,
-            "max_count": max_count,
-            "epsilon": epsilon,
-            "backend": backend,
-            **schedule_echo,
-        }
 
     return EXIT_OK, effective, result, tables
 
@@ -430,7 +379,7 @@ def _analyze_lemma(section, seed, jobs, problem, problem_echo, stats):
         m_values = list(range(math.ceil(alpha_star) + 1, math.floor(4.0 * alpha_star) + 1))
     if not m_values:
         raise ConfigError("analyze.m_values resolves to an empty sweep")
-    trials = int(section.get("trials", 0))
+    trials = _int(section.get("trials", 0), "analyze.trials")
     band_sigmas = float(section.get("band_sigmas", 3.0))
 
     rows = []
@@ -445,31 +394,11 @@ def _analyze_lemma(section, seed, jobs, problem, problem_echo, stats):
             }
         )
     violations = sum(1 for r in rows if not r["above_floor"])
-
     if trials > 0:
-        for s in stats:
-            for m in m_values:
-                if m > math.sqrt(s.n):
-                    raise ConfigError(
-                        f"analyze.m_values: m={m} exceeds sqrt(n)={math.sqrt(s.n):.3f}; "
-                        "capped draws would not match the closed form"
-                    )
-        row_ids = list(enumerate(m_values))
-        payloads = [(problem, row_ids, seed, lo, hi) for lo, hi in _chunks(trials, jobs)]
-        per_chunk = _run_chunked(_lemma_chunk, payloads, jobs)
-        totals = [sum(chunk[i] for chunk in per_chunk) for i in range(len(m_values))]
-        for row, hits in zip(rows, totals):
-            closed = row["closed_form"]
-            sigma = math.sqrt(closed * (1.0 - closed) / trials)
-            empirical = hits / trials
-            row["empirical"] = empirical
-            row["sigma"] = sigma
-            row["within_band"] = bool(abs(empirical - closed) <= band_sigmas * sigma)
+        checks = empirical_vs_closed_form(problem, m_values, trials, seed, band_sigmas, jobs)
+        for row, check in zip(rows, checks):
+            row.update(check.to_dict())
 
-    header = ["m", "closed_form", "floor", "above_floor"]
-    if trials > 0:
-        header += ["empirical", "sigma", "within_band"]
-    table = [[row[h] for h in header] for row in rows]
     effective = {
         "task": "lemma",
         "problem": problem_echo,
@@ -483,68 +412,34 @@ def _analyze_lemma(section, seed, jobs, problem, problem_echo, stats):
         "violations": violations,
         "rows": rows,
     }
-    return EXIT_OK, effective, result, {"lemma.csv": (header, table)}
+    return EXIT_OK, effective, result, {"lemma.csv": _table(rows)}
 
 
 def _analyze_runtime(section, seed, jobs, problem, problem_echo, stats):
-    params, schedule_echo = _schedule(section, seed, problem)
-    lam, max_rounds = params.resolve(problem)
+    params, schedule_echo = _schedule(section, "analyze", seed, problem)
+    lam = schedule_echo["lambda"]
     bounds = theorem_bounds(stats, lam)
-    trials = int(section.get("trials", 200))
+    trials = _int(section.get("trials", 200), "analyze.trials")
     if trials < 1:
         raise ConfigError("analyze.trials must be >= 1")
 
-    payloads = [
-        (problem, lam, max_rounds, params.strict_paper, seed, lo, hi)
-        for lo, hi in _chunks(trials, jobs)
+    trial_rows = [
+        [t, o.success, o.rounds_used, o.ledger.total_grover_iterations]
+        for t, o in enumerate(runtime_trials(problem, params, trials, jobs))
     ]
-    trial_rows = [row for chunk in _run_chunked(_runtime_chunk, payloads, jobs) for row in chunk]
-
-    totals = [r[3] for r in trial_rows]
-    successes = sum(1 for r in trial_rows if r[1])
-    mean_iters = sum(totals) / trials
+    mean_iters = sum(r[3] for r in trial_rows) / trials
     result = {
-        "alpha_star": bounds.alpha_star,
-        "critical_round": bounds.critical_round,
-        "pre_critical": bounds.pre_critical,
-        "post_critical": bounds.post_critical,
+        **asdict(bounds),
         "total_bound": bounds.total,
         "trials": trials,
-        "success_rate": successes / trials,
+        "success_rate": sum(r[1] for r in trial_rows) / trials,
         "mean_total_iterations": mean_iters,
         "within_bound": bool(mean_iters <= bounds.total),
     }
     effective = {"task": "runtime", "problem": problem_echo, "trials": trials, **schedule_echo}
-    summary_header = [
-        "k",
-        "lambda",
-        "alpha_star",
-        "critical_round",
-        "pre_critical",
-        "post_critical",
-        "total_bound",
-        "trials",
-        "success_rate",
-        "mean_total_iterations",
-        "within_bound",
-    ]
-    summary_row = [
-        problem.k,
-        lam,
-        bounds.alpha_star,
-        bounds.critical_round,
-        bounds.pre_critical,
-        bounds.post_critical,
-        bounds.total,
-        trials,
-        result["success_rate"],
-        mean_iters,
-        result["within_bound"],
-    ]
-    trials_header = ["trial", "success", "rounds", "total_grover_iterations"]
     tables = {
-        "runtime.csv": (summary_header, [summary_row]),
-        "trials.csv": (trials_header, [list(r) for r in trial_rows]),
+        "runtime.csv": _table([{"k": problem.k, "lambda": lam, **result}]),
+        "trials.csv": (["trial", "success", "rounds", "total_grover_iterations"], trial_rows),
     }
     return EXIT_OK, effective, result, tables
 
@@ -587,7 +482,7 @@ def main(argv=None) -> int:
         mode = args.mode or config.get("mode")
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {', '.join(MODES)} (via config or --mode)")
-        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+        seed = args.seed if args.seed is not None else _int(config.get("seed", 0), "seed")
         section = dict(config.get(mode, {}))
         if args.strict_paper:
             section["strict_paper"] = True
@@ -621,10 +516,7 @@ def main(argv=None) -> int:
             encoding="utf-8",
         )
         return code
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, RuntimeError) as exc:
+    except (ConfigError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

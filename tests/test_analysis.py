@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,9 +8,13 @@ from gridgrover import (
     BucketStats,
     GridProblem,
     MarkedSet,
+    ScheduleParams,
     avg_success_probability,
+    derive_seed,
     empirical_vs_closed_form,
     lemma_threshold,
+    run_grid_search,
+    runtime_trials,
     stats_from_problem,
     theorem_bounds,
     trig_identity_residual,
@@ -127,10 +132,26 @@ def test_empirical_rows_within_band():
 
 
 def test_empirical_is_batch_invariant():
-    prob = GridProblem.product([MarkedSet.from_indices(16, [3])])
-    a = empirical_vs_closed_form(prob, [2], trials=500, seed=21)[0]
-    b = empirical_vs_closed_form(prob, [2], trials=500, seed=21)[0]
+    prob = GridProblem.product(
+        [MarkedSet.from_indices(16, [3]), MarkedSet.from_indices(9, [0, 4])]
+    )
+    a = empirical_vs_closed_form(prob, [1, 2, 3], trials=501, seed=21, jobs=1)
+    b = empirical_vs_closed_form(prob, [1, 2, 3], trials=501, seed=21, jobs=2)
     assert a == b
+
+
+def test_runtime_trials_match_reference_loop_at_any_jobs():
+    prob = GridProblem.product(
+        [MarkedSet.from_indices(16, [5]), MarkedSet.from_indices(16, [11])]
+    )
+    params = ScheduleParams(seed=9, max_rounds=12)
+    want = [
+        run_grid_search(prob, replace(params, seed=derive_seed(params.seed, t)))
+        for t in range(25)
+    ]
+    assert not all(o.success for o in want)  # exhausted searches are compared too
+    assert runtime_trials(prob, params, 25, jobs=1) == want
+    assert runtime_trials(prob, params, 25, jobs=2) == want
 
 
 def test_empirical_rejects_capped_regime():

@@ -102,6 +102,57 @@ def test_config_errors_exit_1(tmp_path):
     assert main(["--config", missing_problem]) == EXIT_CONFIG
 
 
+def mode_config(mode, section, seed=1):
+    return {"mode": mode, "seed": seed, mode: section}
+
+
+PRODUCT_ALL_MARKED = {"bucket_sizes": [4], "marked": [[0, 1, 2, 3]]}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        mode_config("search", {"bucket_sizes": [4.9, True], "marked": [[1.7], [0]]}),
+        mode_config("search", {"bucket_sizes": [4, True], "marked": [[1], [0]]}),
+        mode_config("search", {"bucket_sizes": [4, 4], "marked": [[1.7], [0]]}),
+        mode_config("search", {**PRODUCT_ALL_MARKED, "max_rounds": 2.5}),
+        mode_config("search", PRODUCT_ALL_MARKED, seed=2.5),
+        mode_config("brachistochrone", {"k": 2.6, "n": 3.9, "curve_samples": 5.5}),
+        mode_config("brachistochrone", {"k": 2, "n": 3.9}),
+        mode_config("brachistochrone", {"k": 2, "n": [4, 4.5]}),
+        mode_config("brachistochrone", {"k": 2, "n": 4, "curve_samples": 5.5}),
+        mode_config("brachistochrone", {"k": 2, "n": 4, "bisect": {"max_count": 2.5}}),
+        mode_config("bisect", {"cost": {"type": "index_sum", "sizes": [8]}, "b0": 8.0,
+                               "max_count": 2.5}),
+        mode_config("analyze", {"task": "runtime", "bucket_sizes": [16], "marked": [[3]],
+                                "trials": 2.5}),
+        mode_config("analyze", {"task": "lemma", "bucket_sizes": [16], "marked": [[3]],
+                                "m_values": [2], "trials": 2.5}),
+    ],
+    ids=[
+        "bucket_sizes-and-marked",
+        "bucket_sizes-bool",
+        "marked-float",
+        "max_rounds",
+        "seed",
+        "k-n-curve_samples",
+        "n",
+        "n-list",
+        "curve_samples",
+        "brachistochrone-bisect-max_count",
+        "bisect-max_count",
+        "runtime-trials",
+        "lemma-trials",
+    ],
+)
+def test_fractional_or_boolean_integers_exit_1(tmp_path, payload):
+    # these used to be truncated (4.9 -> 4, true -> 1) and run another experiment
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_usage_error_exits_1():
     assert main([]) == EXIT_CONFIG
     assert main(["--config"]) == EXIT_CONFIG
@@ -155,6 +206,32 @@ def test_bisect_auto_upper_bound_echoed(tmp_path):
     b0_b = read_report(out_b)["config"]["b0"]
     assert b0_a == b0_b
     assert 1.0 <= b0_a <= 8.0  # a real path cost
+
+
+def test_bisect_mode_and_brachistochrone_bisect_agree(tmp_path):
+    # same grid, seed and bisect settings (b0 bootstrapped) through both entry points
+    settings = {"max_count": 4, "epsilon": 0.001}
+    grid = {"k": 2, "n": 4}
+    bisect_cfg = write_config(
+        tmp_path,
+        {"mode": "bisect", "seed": 21,
+         "bisect": {"cost": {"type": "brachistochrone", **grid}, **settings}},
+        "bisect.json",
+    )
+    brach_cfg = write_config(
+        tmp_path,
+        {"mode": "brachistochrone", "seed": 21, "brachistochrone": {**grid, "bisect": settings}},
+        "brach.json",
+    )
+    out_a, out_b = tmp_path / "a", tmp_path / "b"
+    assert main(["--config", bisect_cfg, "--out", str(out_a)]) == EXIT_OK
+    assert main(["--config", brach_cfg, "--out", str(out_b)]) == EXIT_OK
+    via_bisect, via_brach = read_report(out_a), read_report(out_b)
+    echo = dict(via_bisect["config"])
+    del echo["cost"]
+    assert echo == via_brach["config"]["bisect"]
+    assert via_bisect["result"] == via_brach["result"]["bisect"]
+    assert via_bisect["result"]["rounds"] >= 1
 
 
 def brach_config(extra=None):
@@ -235,15 +312,25 @@ def test_analyze_degenerate_bucket_exit_1(tmp_path):
     assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
 
+def runtime_config():
+    section = {"task": "runtime", "bucket_sizes": [16, 16], "marked": [[5], [11]], "trials": 24}
+    return {"mode": "analyze", "seed": 9, "analyze": section}
+
+
 def test_analyze_lemma_empirical_jobs_invariant(tmp_path):
-    payload = lemma_config({"m_values": [2, 3], "trials": 1200})
-    cfg = write_config(tmp_path, payload)
-    out1, out2 = tmp_path / "j1", tmp_path / "j2"
-    assert main(["--config", cfg, "--out", str(out1), "--jobs", "1"]) == EXIT_OK
-    assert main(["--config", cfg, "--out", str(out2), "--jobs", "2"]) == EXIT_OK
-    assert stripped(out1) == stripped(out2)
-    assert (out1 / "lemma.csv").read_text() == (out2 / "lemma.csv").read_text()
-    for row in read_report(out1)["result"]["rows"]:
+    # both trial sweeps: the lemma's empirical rows and the runtime trials
+    lemma = lemma_config({"m_values": [2, 3], "trials": 1200})
+    sweeps = ((lemma, ["lemma.csv"]), (runtime_config(), ["runtime.csv", "trials.csv"]))
+    for payload, tables in sweeps:
+        task = payload["analyze"]["task"]
+        cfg = write_config(tmp_path, payload, f"{task}.json")
+        out1, out2 = tmp_path / f"{task}-j1", tmp_path / f"{task}-j2"
+        assert main(["--config", cfg, "--out", str(out1), "--jobs", "1"]) == EXIT_OK
+        assert main(["--config", cfg, "--out", str(out2), "--jobs", "2"]) == EXIT_OK
+        assert stripped(out1) == stripped(out2)
+        for name in tables:
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    for row in read_report(tmp_path / "lemma-j1")["result"]["rows"]:
         assert row["within_band"] is True
 
 
@@ -262,19 +349,7 @@ def test_analyze_lemma_empirical_matches_library(tmp_path):
 
 
 def test_analyze_runtime_table(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        {
-            "mode": "analyze",
-            "seed": 9,
-            "analyze": {
-                "task": "runtime",
-                "bucket_sizes": [16, 16],
-                "marked": [[5], [11]],
-                "trials": 24,
-            },
-        },
-    )
+    cfg = write_config(tmp_path, runtime_config())
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out), "--jobs", "2"]) == EXIT_OK
     result = read_report(out)["result"]
