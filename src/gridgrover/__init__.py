@@ -66,8 +66,8 @@ from .trajectory import (
     DESK_SCALE_CAP,
     BrachistochroneCost,
     CostTable,
+    Curve,
     Grid,
-    PiecewiseLinearCurve,
     PolynomialCurve,
     QuadratureConfig,
     RangeProblemFamily,

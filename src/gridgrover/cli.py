@@ -136,6 +136,15 @@ def _int(value, where: str) -> int:
     raise ConfigError(f"{where} must be an integer, got {json.dumps(value)}")
 
 
+def _number(value, where: str) -> float:
+    # float() would also take true, "1.01" or "inf", and a non-finite
+    # value would reach report.json as a non-standard Infinity token
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if abs(value) <= sys.float_info.max:
+            return float(value)
+    raise ConfigError(f"{where} must be a finite number, got {json.dumps(value)}")
+
+
 def _int_list(value, where: str) -> list[int]:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{where} must be a non-empty list of integers")
@@ -145,7 +154,7 @@ def _int_list(value, where: str) -> list[int]:
 def _bracket(value, where: str) -> tuple[float, float]:
     if not (isinstance(value, list) and len(value) == 2):
         raise ConfigError(f"{where} must be [a, b]")
-    a, b = float(value[0]), float(value[1])
+    a, b = _number(value[0], f"{where}[0]"), _number(value[1], f"{where}[1]")
     if not a < b:
         raise ConfigError(f"{where} needs a < b")
     return a, b
@@ -176,12 +185,14 @@ def _quadrature_config(spec, where: str) -> QuadratureConfig:
     unknown = set(spec) - {f.name for f in fields(QuadratureConfig)}
     if unknown:
         raise ConfigError(f"{where} has unknown keys: {sorted(unknown)}")
-    return QuadratureConfig(**spec)
+    return QuadratureConfig(
+        **{k: (_number if k == "rel_tol" else _int)(v, f"{where}.{k}") for k, v in spec.items()}
+    )
 
 
 def _brachistochrone_cost(spec: dict, where: str):
     """Grid + cost model from inline grid fields; returns (grid, cost, echo)."""
-    g = float(spec.get("g", 9.8))
+    g = _number(spec.get("g", 9.8), f"{where}.g")
     kind = spec.get("interpolation", "polynomial")
     if kind not in ("polynomial", "linear"):
         raise ConfigError(f"{where}.interpolation must be 'polynomial' or 'linear'")
@@ -192,7 +203,12 @@ def _brachistochrone_cost(spec: dict, where: str):
             raise ConfigError(f"{where}.columns must be a non-empty list of ordinate lists")
         k = len(columns)
         xs = np.array([math.pi * i / (k + 1) for i in range(1, k + 1)])
-        cols = tuple(np.asarray(c, dtype=float) for c in columns)
+        cols = []
+        for i, c in enumerate(columns):
+            at = f"{where}.columns[{i}]"
+            if not isinstance(c, list):
+                raise ConfigError(f"{at} must be a list of ordinates")
+            cols.append(np.array([_number(v, f"{at}[{j}]") for j, v in enumerate(c)]))
         grid = Grid(abscissae=xs, columns=cols, start=(0.0, 2.0), end=(math.pi, 0.0))
         grid_echo = {"columns": [[float(v) for v in c] for c in cols]}
     else:
@@ -222,7 +238,7 @@ def _build_cost(spec, where: str):
         return grid.sizes, cost, echo
     if kind == "index_sum":
         sizes = tuple(_int_list(_require(spec, "sizes", where), f"{where}.sizes"))
-        offset = float(spec.get("offset", 0.0))
+        offset = _number(spec.get("offset", 0.0), f"{where}.offset")
         echo = {"type": "index_sum", "sizes": list(sizes), "offset": offset}
         return sizes, IndexSumCost(sizes=sizes, offset=offset), echo
     raise ConfigError(f"{where}.type must be 'brachistochrone' or 'index_sum'")
@@ -231,12 +247,15 @@ def _build_cost(spec, where: str):
 def _schedule(
     section: dict, where: str, seed: int, problem: GridProblem
 ) -> tuple[ScheduleParams, dict]:
-    max_rounds = section.get("max_rounds")
+    lam, max_rounds = section.get("lambda"), section.get("max_rounds")
+    strict_paper = section.get("strict_paper", False)
+    if not isinstance(strict_paper, bool):
+        raise ConfigError(f"{where}.strict_paper must be true or false")
     params = ScheduleParams(
         seed=seed,
-        lam=section.get("lambda"),
+        lam=None if lam is None else _number(lam, f"{where}.lambda"),
         max_rounds=None if max_rounds is None else _int(max_rounds, f"{where}.max_rounds"),
-        strict_paper=bool(section.get("strict_paper", False)),
+        strict_paper=strict_paper,
     )
     lam, max_rounds = params.resolve(problem)
     echo = {"lambda": lam, "max_rounds": max_rounds, "strict_paper": params.strict_paper}
@@ -251,7 +270,7 @@ def _bisect(
     Without ``b0`` the upper end is bootstrapped deterministically: the
     first finite cost above a0 among up to 64 seeded random paths.
     """
-    a0 = float(section.get("a0", 0.0))
+    a0 = _number(section.get("a0", 0.0), f"{where}.a0")
     b0 = section.get("b0")
     if b0 is None:
         rng = trial_rng(seed)
@@ -261,9 +280,9 @@ def _bisect(
                 break
         else:
             raise ConfigError("could not bootstrap a finite upper bound; set b0 explicitly")
-    b0 = float(b0)
+    b0 = _number(b0, f"{where}.b0")
     max_count = _int(section.get("max_count", 16), f"{where}.max_count")
-    epsilon = float(section.get("epsilon", 0.0))
+    epsilon = _number(section.get("epsilon", 0.0), f"{where}.epsilon")
     backend = section.get("backend", "grover")
     # the bracket only fixes the problem's shape here; resolve() needs k
     params, schedule_echo = _schedule(section, where, seed, family(a0, b0))
@@ -380,7 +399,9 @@ def _analyze_lemma(section, seed, jobs, problem, problem_echo, stats):
     if not m_values:
         raise ConfigError("analyze.m_values resolves to an empty sweep")
     trials = _int(section.get("trials", 0), "analyze.trials")
-    band_sigmas = float(section.get("band_sigmas", 3.0))
+    if trials < 0:
+        raise ConfigError("analyze.trials must be >= 0")
+    band_sigmas = _number(section.get("band_sigmas", 3.0), "analyze.band_sigmas")
 
     rows = []
     for m in m_values:
@@ -483,13 +504,19 @@ def main(argv=None) -> int:
         if mode not in MODES:
             raise ConfigError(f"mode must be one of {', '.join(MODES)} (via config or --mode)")
         seed = args.seed if args.seed is not None else _int(config.get("seed", 0), "seed")
-        section = dict(config.get(mode, {}))
-        if args.strict_paper:
-            section["strict_paper"] = True
-        if args.max_rounds is not None:
-            section["max_rounds"] = args.max_rounds
-        if args.max_count is not None:
-            section["max_count"] = args.max_count
+        section = config.get(mode, {})
+        if not isinstance(section, dict):
+            raise ConfigError(f"{mode} must be an object")
+        flags = {key: getattr(args, key) for key in ("strict_paper", "max_rounds", "max_count")}
+        flags = {key: value for key, value in flags.items() if value is not None}
+        if mode == "brachistochrone" and flags:
+            # this mode's only search is its bisection
+            if not isinstance(section.get("bisect"), dict):
+                given = ", ".join("--" + key.replace("_", "-") for key in flags)
+                raise ConfigError(f"{given} need a brachistochrone.bisect object")
+            section = {**section, "bisect": {**section["bisect"], **flags}}
+        else:
+            section = {**section, **flags}
 
         command = {
             "search": cmd_search,

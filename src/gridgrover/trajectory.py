@@ -12,27 +12,29 @@ The cost of a path is the frictionless descent time
 
     tau = integral_0^pi sqrt((1 + y'(x)^2) / (2 g y(x))) dx
 
-for the interpolant through its nodes.  The integrand has an integrable
-1/sqrt singularity where y reaches 0 at the right boundary, so the
-quadrature integrates in the substituted variable u = sqrt(x_end - x),
-which removes that singularity exactly; composite Gauss-Legendre panels
-in u then converge at machine precision for smooth positive paths.
-Paths whose interpolant dips to 0 or below anywhere before the right
-boundary, or reaches the floor there with zero slope (a double root,
-where the integral diverges logarithmically), get the +inf sentinel
-instead of an error, so sweeps can enumerate freely.
+for the interpolant (a polynomial or a broken line) through its nodes.
+The integrand's 1/sqrt singularity where y reaches 0 at the right
+boundary is removed exactly by integrating in u = sqrt(x_end - x), with
+composite Gauss-Legendre panels.  Paths whose interpolant dips to 0 or
+below before the right boundary, or reaches the floor there with zero
+slope (a double root: the integral diverges logarithmically), get the
++inf sentinel instead of an error, so sweeps can enumerate freely.
+
+The abscissae are the same for every path of a grid, so the interpolant
+and its slope at the quadrature nodes are fixed linear maps of the node
+ordinates.  One evaluator, :meth:`BrachistochroneCost.costs`, therefore
+integrates a block of paths at once; a single path is a block of one.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
-from numpy.polynomial import Polynomial
 from numpy.polynomial.legendre import leggauss
 
 from .grover import MarkedSet
@@ -42,8 +44,8 @@ __all__ = [
     "DESK_SCALE_CAP",
     "Grid",
     "QuadratureConfig",
+    "Curve",
     "PolynomialCurve",
-    "PiecewiseLinearCurve",
     "BrachistochroneCost",
     "SolutionSetQuery",
     "CostTable",
@@ -101,19 +103,24 @@ class Grid:
     def sizes(self) -> tuple[int, ...]:
         return tuple(c.size for c in self.columns)
 
+    @property
+    def node_abscissae(self) -> tuple[float, ...]:
+        """Interpolation abscissae, boundary points included."""
+        return (float(self.start[0]), *map(float, self.abscissae), float(self.end[0]))
+
+    def node_rows(self, paths) -> np.ndarray:
+        """Interpolation ordinates (boundary points included), one row per path."""
+        paths = np.asarray(paths)
+        if paths.ndim != 2 or paths.shape[1] != self.k:
+            raise ValueError(f"paths need {self.k} indices each, got shape {paths.shape}")
+        if not np.all((paths >= 0) & (paths < self.sizes)):
+            raise ValueError(f"path index out of range for column sizes {self.sizes}")
+        ys = np.column_stack([col[paths[:, i]] for i, col in enumerate(self.columns)])
+        return np.pad(ys, ((0, 0), (1, 1)), constant_values=((0, 0), (self.start[1], self.end[1])))
+
     def node_points(self, path: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         """Interpolation nodes (boundary points included) for a path."""
-        if len(path) != self.k:
-            raise ValueError(f"path needs {self.k} indices, got {len(path)}")
-        ys = [self.start[1]]
-        for i, idx in enumerate(path):
-            col = self.columns[i]
-            if not 0 <= idx < col.size:
-                raise ValueError(f"index {idx} out of range for column {i}")
-            ys.append(float(col[idx]))
-        ys.append(self.end[1])
-        xs = np.concatenate(([self.start[0]], self.abscissae, [self.end[0]]))
-        return xs, np.asarray(ys)
+        return np.array(self.node_abscissae), self.node_rows([path])[0]
 
 
 def build_brachistochrone_grid(k: int, sizes: int | Sequence[int]) -> Grid:
@@ -136,139 +143,137 @@ def build_brachistochrone_grid(k: int, sizes: int | Sequence[int]) -> Grid:
     return Grid(abscissae=xs, columns=cols, start=(0.0, 2.0), end=(math.pi, 0.0))
 
 
-class PolynomialCurve:
-    """Degree k+1 polynomial through k+2 nodes, with derivative access."""
-
-    def __init__(self, xs: np.ndarray, ys: np.ndarray):
-        self.xs = np.asarray(xs, dtype=float)
-        self.ys = np.asarray(ys, dtype=float)
-        self._poly = Polynomial.fit(self.xs, self.ys, deg=self.xs.size - 1)
-        self._deriv = self._poly.deriv()
-
-    def __call__(self, x):
-        return self._poly(x)
-
-    def slope(self, x):
-        return self._deriv(x)
-
-    def segments(self) -> list[tuple[float, float]]:
-        return [(float(self.xs[0]), float(self.xs[-1]))]
-
-    def positive_interior(self) -> bool:
-        """True iff the descent-time integral over the curve is finite.
-
-        That holds iff y > 0 on [x0, x_end) and, where the end ordinate
-        is 0, the curve reaches it with nonzero slope: a simple root at
-        the end is the integrable 1/sqrt singularity the quadrature's
-        substitution removes, while a double root (zero slope at the
-        end) makes the integral diverge logarithmically.  In
-        t = (x - x0)/(x_end - x0) the known end root is divided out,
-        y = (1 - t) q(t), and q > 0 is decided on the closed [0, 1] from
-        its Bernstein coefficients (see ``_bernstein_positive``), with
-        no root finding.
-        """
-        d = self.xs.size - 1
-        # Polynomial.fit maps [x0, x_end] onto the window [-1, 1]
-        bern = _window_to_bernstein(d) @ self._poly.coef
-        if self.ys[-1] == 0.0:
-            # (1 - t) B_i^(d-1)(t) = (d - i)/d B_i^d(t); bern[-1] = y(x_end) = 0
-            bern = bern[:-1] * d / np.arange(d, 0, -1)
-        return _bernstein_positive(bern)
-
-
 # A piece of q whose Bernstein coefficients all exceed this fraction of
-# q's largest coefficient is certified positive, and a point where q is
-# at or below it counts as a touch of the floor.  The fit and the
-# coefficient map put rounding of at most 5e-15 relative into those
-# coefficients on the 3x8, 3x16, 2x16, 1x64 and 4x6 boards, where the
-# closest approach of a positive q is 1.2e-4 (path (2, 5, 0, 3) on 4x6).
+# q's largest one is certified positive; a point where q is at or below
+# it counts as a touch of the floor.  The node-to-Bernstein map rounds
+# those coefficients by at most 5.2e-15 relative (against a 40-digit
+# reference) on the 3x8, 3x16, 2x16, 1x64 and 4x6 boards, where a
+# positive q comes no closer than 1.2e-4 (path (2, 5, 0, 3) on 4x6).
 _POSITIVITY_RTOL = 1e-9
-# Halvings of [0, 1] before giving up: a piece 2**-40 wide whose
-# coefficients still dip below the tolerance means q comes within it of
-# 0 to working precision, which also counts as a touch.
+# Halvings of [0, 1] before a piece still dipping below the tolerance
+# counts as a touch too: q comes within it of 0 to working precision.
 _POSITIVITY_MAX_DEPTH = 40
+# Rows x quadrature samples integrated at once: small blocks stay in cache
+# and a 3x16 build peaks 2.5 MB above the import (16 MB with 2**18).
+_BLOCK_ELEMENTS = 2**14
+_KINDS = ("polynomial", "linear")
 
 
-@functools.lru_cache(maxsize=None)
-def _window_to_bernstein(d: int) -> np.ndarray:
-    """Matrix from power coefficients in s in [-1, 1] to the degree-d
-    Bernstein coefficients in t = (s + 1)/2.
+def _bernstein(t: np.ndarray, d: int) -> np.ndarray:
+    """Degree-d Bernstein basis at the points t, shape (t.size, d + 1)."""
+    i = np.arange(d + 1)
+    return np.array([math.comb(d, j) for j in i]) * t[:, None] ** i * (1.0 - t[:, None]) ** (d - i)
 
-    s**j = (t - (1 - t))**j has Bernstein coefficients (-1)**(j - l) at
-    degree j; elevating them to degree d gives column j.  Every entry
-    lies in [-1, 1].
-    """
-    m = np.empty((d + 1, d + 1))
-    for i in range(d + 1):
-        for j in range(d + 1):
-            num = sum(
-                (-1) ** (j - l) * math.comb(j, l) * math.comb(d - j, i - l)
-                for l in range(max(0, i - d + j), min(i, j) + 1)
-            )
-            m[i, j] = num / math.comb(d, i)
+
+@functools.lru_cache(maxsize=64)
+def _node_to_bernstein(xs: tuple[float, ...]) -> np.ndarray:
+    """M with M @ ys the Bernstein coefficients, in t = (x - x0)/(x_end - x0),
+    of the polynomial through (xs, ys): the inverse of the basis at the nodes."""
+    nodes = np.asarray(xs)
+    m = np.linalg.inv(_bernstein((nodes - nodes[0]) / (nodes[-1] - nodes[0]), nodes.size - 1))
     m.flags.writeable = False
     return m
 
 
-def _bernstein_positive(bern: np.ndarray) -> bool:
-    """True iff the polynomial with Bernstein coefficients ``bern`` on
-    [0, 1] exceeds _POSITIVITY_RTOL * max|bern| on the whole closed interval.
-
-    A polynomial lies between its smallest and largest Bernstein
-    coefficient, and the end coefficients are its values at the ends, so
-    each piece is certified, refuted, or split in half by de Casteljau
-    subdivision, down to _POSITIVITY_MAX_DEPTH halvings.
-    """
-    tol = _POSITIVITY_RTOL * float(np.max(np.abs(bern)))
-    stack = [(bern, 0)]
-    while stack:
-        b, depth = stack.pop()
-        if b[0] <= tol or b[-1] <= tol:
-            return False
-        if b.min() > tol:
-            continue
-        if depth == _POSITIVITY_MAX_DEPTH:
-            return False
-        left, right = [b[0]], [b[-1]]
-        while b.size > 1:
-            b = 0.5 * (b[:-1] + b[1:])
-            left.append(b[0])
-            right.append(b[-1])
-        stack += [(np.array(left), depth + 1), (np.array(right[::-1]), depth + 1)]
-    return True
+def _basis(kind: str, xs: tuple[float, ...], x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(B, dB), each (len(xs), x.size): the interpolant through (xs, ys)
+    is ys @ B at the points x, and its slope ys @ dB."""
+    nodes = np.asarray(xs)
+    d = nodes.size - 1
+    if kind == "polynomial":
+        span = nodes[-1] - nodes[0]
+        t, m = (x - nodes[0]) / span, _node_to_bernstein(xs)
+        # the derivative's Bernstein coefficients are d (beta_(i+1) - beta_i)
+        slope = _bernstein(t, d - 1) @ np.diff(m, axis=0) * (d / span)
+        return (_bernstein(t, d) @ m).T, slope.T
+    # broken line: hat functions, the slope's segment picked as np.interp does
+    eye = np.eye(d + 1)
+    seg = np.clip(np.searchsorted(nodes, x, side="right") - 1, 0, d - 1)
+    hats = np.array([np.interp(x, nodes, e) for e in eye])
+    return hats, (eye[:, seg + 1] - eye[:, seg]) / np.diff(nodes)[seg]
 
 
-class PiecewiseLinearCurve:
-    """Broken line through the nodes; slope is constant per segment."""
+def _combine(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """rows @ basis as one elementwise product per node, not a matmul, so
+    that a row's result does not depend on the block it sits in."""
+    out = rows[:, :1] * basis[0]
+    for i in range(1, basis.shape[0]):
+        out += rows[:, i : i + 1] * basis[i]
+    return out
 
-    def __init__(self, xs: np.ndarray, ys: np.ndarray):
-        self.xs = np.asarray(xs, dtype=float)
+
+def _positive(kind: str, xs: tuple[float, ...], rows: np.ndarray) -> np.ndarray:
+    """:meth:`Curve.positive_interior` for every row of node ordinates."""
+    if kind == "linear":
+        # a broken line can only dip as low as its nodes
+        return np.all(rows[:, 1:-1] > 0.0, axis=1)
+    bern, d = _combine(rows, _node_to_bernstein(xs).T), len(xs) - 1
+    zero_end = rows[:, -1] == 0.0
+    ok = np.empty(rows.shape[0], dtype=bool)
+    # (1 - t) B_i^(d-1)(t) = (d - i)/d B_i^d(t); bern[:, -1] = y(x_end) = 0
+    ok[zero_end] = _bernstein_positive(bern[zero_end, :-1] * d / np.arange(d, 0, -1))
+    ok[~zero_end] = _bernstein_positive(bern[~zero_end])
+    return ok
+
+
+def _bernstein_positive(bern: np.ndarray) -> np.ndarray:
+    """Per row of Bernstein coefficients on [0, 1], whether the polynomial
+    exceeds _POSITIVITY_RTOL * max|row| on the whole closed interval.
+
+    A polynomial lies between its smallest and largest Bernstein coefficient
+    and equals the end ones at the ends, so each piece is certified, refuted,
+    or halved by de Casteljau subdivision, all rows' pieces a level at a time."""
+    tol = _POSITIVITY_RTOL * np.abs(bern).max(axis=1, initial=0.0)
+    ok = np.ones(bern.shape[0], dtype=bool)
+    pieces, owner = bern, np.arange(bern.shape[0])
+    for _ in range(_POSITIVITY_MAX_DEPTH + 1):
+        t = tol[owner]
+        ok[owner[(pieces[:, 0] <= t) | (pieces[:, -1] <= t)]] = False
+        open_ = ok[owner] & (pieces.min(axis=1) <= t)
+        pieces, owner = pieces[open_], owner[open_]
+        if not owner.size:
+            return ok
+        left, right = np.empty_like(pieces), np.empty_like(pieces)
+        left[:, 0], right[:, -1] = pieces[:, 0], pieces[:, -1]
+        for j in range(1, pieces.shape[1]):
+            pieces = 0.5 * (pieces[:, :-1] + pieces[:, 1:])
+            left[:, j], right[:, -1 - j] = pieces[:, 0], pieces[:, -1]
+        pieces, owner = np.concatenate([left, right]), np.concatenate([owner, owner])
+    ok[owner] = False  # still undecided after the last halving
+    return ok
+
+
+class Curve:
+    """The interpolant through nodes (xs, ys): the polynomial of degree
+    len(xs) - 1 (``kind="polynomial"``) or the broken line (``"linear"``)."""
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, kind: str = "polynomial"):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown interpolation kind {kind!r}")
+        self.xs = tuple(float(x) for x in xs)
         self.ys = np.asarray(ys, dtype=float)
-        self._slopes = np.diff(self.ys) / np.diff(self.xs)
+        self.kind = kind
 
     def __call__(self, x):
-        return np.interp(x, self.xs, self.ys)
-
-    def slope(self, x):
-        idx = np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, self._slopes.size - 1)
-        return self._slopes[idx]
-
-    def segments(self) -> list[tuple[float, float]]:
-        return [(float(a), float(b)) for a, b in zip(self.xs[:-1], self.xs[1:])]
+        x = np.asarray(x, dtype=float)
+        b, _ = _basis(self.kind, self.xs, x.ravel())
+        return _combine(self.ys[None, :], b)[0].reshape(x.shape)
 
     def positive_interior(self) -> bool:
-        # A broken line can only dip as low as its nodes.
-        return bool(np.all(self.ys[1:-1] > 0.0))
+        """True iff the descent-time integral over the curve is finite:
+        y > 0 on [x0, x_end) and nonzero slope at a zero end ordinate.
+        For the polynomial, the known end root is divided out,
+        y = (1 - t) q(t) in t = (x - x0)/(x_end - x0), and q > 0 is decided
+        on [0, 1] from its Bernstein coefficients, with no root finding."""
+        return bool(_positive(self.kind, self.xs, self.ys[None, :])[0])
 
 
-def interpolate(grid: Grid, path: Sequence[int], kind: str = "polynomial"):
+PolynomialCurve = Curve  # the polynomial is the default kind
+
+
+def interpolate(grid: Grid, path: Sequence[int], kind: str = "polynomial") -> Curve:
     """Continuous y(x) through the path's nodes plus both boundary points."""
-    xs, ys = grid.node_points(path)
-    if kind == "polynomial":
-        return PolynomialCurve(xs, ys)
-    if kind == "linear":
-        return PiecewiseLinearCurve(xs, ys)
-    raise ValueError(f"unknown interpolation kind {kind!r}")
+    return Curve(*grid.node_points(path), kind)
 
 
 @dataclass(frozen=True)
@@ -285,6 +290,9 @@ class QuadratureConfig:
     rel_tol: float = 0.01
 
     def __post_init__(self) -> None:
+        counts = (self.base_panels, self.nodes_per_panel, self.max_panels)
+        if any(isinstance(c, bool) or not isinstance(c, numbers.Integral) for c in counts):
+            raise ValueError(f"panel and node counts must be integers, got {counts}")
         if self.base_panels < 1 or self.nodes_per_panel < 1:
             raise ValueError("panel and node counts must be >= 1")
         if self.max_panels < self.base_panels:
@@ -293,66 +301,27 @@ class QuadratureConfig:
             raise ValueError("rel_tol must lie in (0, 1)")
 
 
-def _composite_gauss(f, a: float, b: float, panels: int, nodes: int) -> float | None:
-    """Composite Gauss-Legendre; None signals a non-positive y sample."""
+@functools.lru_cache(maxsize=16)
+def _layout(xs: tuple[float, ...], kind: str, panels: int, nodes: int):
+    """(weights, B, dB) of the quadrature at one panel count: Gauss-Legendre
+    panels in u = sqrt(x_end - x), shared among the pieces (the broken
+    line's segments) by length in u; dx = -2u du puts 2u in the weights."""
+    x_end = xs[-1]
+    cuts = xs if kind == "linear" else (xs[0], x_end)
+    # larger u lies further left
+    spans = [(math.sqrt(max(x_end - b, 0.0)), math.sqrt(x_end - a)) for a, b in zip(cuts, cuts[1:])]
+    total = sum(hi - lo for lo, hi in spans)
     xg, wg = leggauss(nodes)
-    h = (b - a) / panels
-    starts = a + h * np.arange(panels)
-    x = (starts[:, None] + h * (xg[None, :] + 1.0) / 2.0).ravel()
-    vals = f(x)
-    if vals is None:
-        return None
-    return float(np.dot(vals, np.tile(wg * h / 2.0, panels)))
-
-
-def _descent_time(curve, g: float, cfg: QuadratureConfig) -> float:
-    """Adaptive descent-time integral of a curve, +inf sentinel included.
-
-    The sentinel is returned when ``curve.positive_interior()`` says the
-    integral diverges, and as a safeguard when a quadrature sample of y
-    is not positive.  Otherwise panels in u = sqrt(x_end - x) are
-    doubled until successive values differ by at most ``cfg.rel_tol``
-    (relative); ``RuntimeError`` if that takes more than
-    ``cfg.max_panels``.
-    """
-    if not curve.positive_interior():
-        return math.inf
-    x_end = curve.segments()[-1][1]
-
-    def transformed(seg_lo: float, seg_hi: float):
-        # u = sqrt(x_end - x) over the segment, larger u = further left.
-        u_lo, u_hi = math.sqrt(max(x_end - seg_hi, 0.0)), math.sqrt(x_end - seg_lo)
-
-        def f(u):
-            x = x_end - u * u
-            y = np.asarray(curve(x), dtype=float)
-            if np.any(y <= 0.0):
-                return None
-            dy = np.asarray(curve.slope(x), dtype=float)
-            return np.sqrt((1.0 + dy * dy) / (2.0 * g * y)) * 2.0 * u
-
-        return f, u_lo, u_hi
-
-    segs = [transformed(lo, hi) for lo, hi in curve.segments()]
-    total_len = sum(hi - lo for _, lo, hi in segs)
-
-    prev = None
-    panels = cfg.base_panels
-    while panels <= cfg.max_panels:
-        value = 0.0
-        for f, lo, hi in segs:
-            share = max(1, round(panels * (hi - lo) / total_len))
-            part = _composite_gauss(f, lo, hi, share, cfg.nodes_per_panel)
-            if part is None:
-                return math.inf
-            value += part
-        if prev is not None and abs(value - prev) <= cfg.rel_tol * abs(value):
-            return value
-        prev = value
-        panels *= 2
-    raise RuntimeError(
-        f"descent-time quadrature did not converge within {cfg.max_panels} panels"
-    )
+    us, ws = [], []
+    for lo, hi in spans:
+        share = max(1, round(panels * (hi - lo) / total))
+        h = (hi - lo) / share
+        starts = lo + h * np.arange(share)
+        us.append((starts[:, None] + h * (xg[None, :] + 1.0) / 2.0).ravel())
+        ws.append(np.tile(wg * h / 2.0, share))
+    u, w = np.concatenate(us), np.concatenate(ws)
+    b, db = _basis(kind, xs, x_end - u * u)
+    return 2.0 * u * w, np.ascontiguousarray(b), np.ascontiguousarray(db)
 
 
 def brachistochrone_cost(
@@ -364,10 +333,7 @@ def brachistochrone_cost(
     kind: str = "polynomial",
 ) -> float:
     """Descent time of one grid path (+inf if its interpolant dips to 0)."""
-    if g <= 0:
-        raise ValueError("gravity must be positive")
-    cfg = quadrature if quadrature is not None else QuadratureConfig()
-    return _descent_time(interpolate(grid, path, kind=kind), g, cfg)
+    return BrachistochroneCost(grid, g, quadrature or QuadratureConfig(), kind)(path)
 
 
 @dataclass(frozen=True)
@@ -379,10 +345,43 @@ class BrachistochroneCost:
     quadrature: QuadratureConfig = field(default_factory=QuadratureConfig)
     kind: str = "polynomial"
 
+    def __post_init__(self) -> None:
+        if self.g <= 0:
+            raise ValueError("gravity must be positive")
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown interpolation kind {self.kind!r}")
+
     def __call__(self, path: Sequence[int]) -> float:
-        return brachistochrone_cost(
-            self.grid, path, g=self.g, quadrature=self.quadrature, kind=self.kind
-        )
+        return float(self.costs([path])[0])
+
+    def costs(self, paths) -> np.ndarray:
+        """Descent time of every row of ``paths``, each bit for bit ``self(path)``:
+        +inf where :meth:`Curve.positive_interior` fails or (a safeguard) a
+        quadrature sample of y is not positive.  Each path's panels double
+        until its value changes by at most ``rel_tol``, RuntimeError past
+        ``max_panels``; paths are evaluated in blocks of _BLOCK_ELEMENTS."""
+        xs, rows, cfg = self.grid.node_abscissae, self.grid.node_rows(paths), self.quadrature
+        times, prev = np.full(rows.shape[0], math.inf), np.full(rows.shape[0], math.nan)
+        live = np.flatnonzero(_positive(self.kind, xs, rows))
+        panels = cfg.base_panels
+        while live.size:
+            if panels > cfg.max_panels:
+                raise RuntimeError(f"quadrature did not converge within {cfg.max_panels} panels")
+            weights, b, db = _layout(xs, self.kind, panels, cfg.nodes_per_panel)
+            step = max(1, _BLOCK_ELEMENTS // weights.size)
+            value = np.empty(live.size)
+            for s in range(0, live.size, step):
+                block = rows[live[s : s + step]]
+                y, dy = _combine(block, b), _combine(block, db)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    f = np.sqrt((1.0 + dy * dy) / (2.0 * self.g * y)) * weights
+                value[s : s + step] = np.where(np.any(y <= 0.0, axis=1), math.inf, f.sum(axis=1))
+            done = np.isinf(value) | (np.abs(value - prev[live]) <= cfg.rel_tol * np.abs(value))
+            times[live[done]] = value[done]
+            prev[live] = value
+            live = live[~done]
+            panels *= 2
+        return times
 
 
 def straight_line_descent_time(g: float = 9.8) -> float:
@@ -418,9 +417,10 @@ class CostTable:
         space = math.prod(sizes)
         if space > cap:
             raise ValueError(f"product space {space} exceeds enumeration cap {cap}")
-        paths = np.array(list(itertools.product(*(range(n) for n in sizes))), dtype=int)
-        costs = np.array([float(cost(tuple(p))) for p in paths])
-        return cls(sizes=sizes, paths=paths, costs=costs)
+        paths = np.indices(sizes).reshape(len(sizes), -1).T.copy()
+        if isinstance(cost, BrachistochroneCost):
+            return cls(sizes=sizes, paths=paths, costs=cost.costs(paths))
+        return cls(sizes=sizes, paths=paths, costs=np.array([float(cost(tuple(p))) for p in paths]))
 
     def cost_of(self, path: Sequence[int]) -> float:
         flat = int(np.ravel_multi_index(tuple(int(i) for i in path), self.sizes))

@@ -128,6 +128,9 @@ PRODUCT_ALL_MARKED = {"bucket_sizes": [4], "marked": [[0, 1, 2, 3]]}
                                 "trials": 2.5}),
         mode_config("analyze", {"task": "lemma", "bucket_sizes": [16], "marked": [[3]],
                                 "m_values": [2], "trials": 2.5}),
+        mode_config("brachistochrone", {"k": 2, "n": 4, "quadrature": {"base_panels": 16.5}}),
+        mode_config("brachistochrone", {"k": 2, "n": 4, "quadrature": {"nodes_per_panel": True}}),
+        mode_config("brachistochrone", {"k": 2, "n": 4, "quadrature": {"max_panels": 64.5}}),
     ],
     ids=[
         "bucket_sizes-and-marked",
@@ -143,6 +146,9 @@ PRODUCT_ALL_MARKED = {"bucket_sizes": [4], "marked": [[0, 1, 2, 3]]}
         "bisect-max_count",
         "runtime-trials",
         "lemma-trials",
+        "quadrature-base_panels",
+        "quadrature-nodes_per_panel",
+        "quadrature-max_panels",
     ],
 )
 def test_fractional_or_boolean_integers_exit_1(tmp_path, payload):
@@ -151,6 +157,40 @@ def test_fractional_or_boolean_integers_exit_1(tmp_path, payload):
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert not out.exists()
+
+
+TOY_COST = {"type": "index_sum", "sizes": [8]}
+NON_NUMBERS = {
+    "strict_paper-string": mode_config("search", {**PRODUCT_ALL_MARKED, "strict_paper": "false"}),
+    "lambda-string": mode_config("search", {**PRODUCT_ALL_MARKED, "lambda": "1.01"}),
+    "bounds-string": mode_config("search", {"cost": TOY_COST, "bounds": ["0.5", 2.5]}),
+    "b0-inf-string": mode_config("bisect", {"cost": TOY_COST, "b0": "inf"}),
+    "a0-list": mode_config("bisect", {"cost": TOY_COST, "b0": 8.0, "a0": [0.0]}),
+    "epsilon-string": mode_config("bisect", {"cost": TOY_COST, "b0": 8.0, "epsilon": "0.1"}),
+    "offset-null": mode_config("bisect", {"cost": {**TOY_COST, "offset": None}, "b0": 8.0}),
+    "g-bool": mode_config("brachistochrone", {"k": 2, "n": 4, "g": True}),
+    "g-null": mode_config("brachistochrone", {"k": 2, "n": 4, "g": None}),
+    "rel_tol-string": mode_config("brachistochrone", {"k": 1, "n": 4,
+                                                      "quadrature": {"rel_tol": "0.1"}}),
+    "columns-flat": mode_config("brachistochrone", {"columns": [1.0, 1.5]}),
+    "columns-string": mode_config("brachistochrone", {"columns": [["1.0"]]}),
+    "lemma-trials-negative": mode_config("analyze", {"task": "lemma", "bucket_sizes": [16],
+                                                     "marked": [[3]], "trials": -5}),
+    "band_sigmas-list": mode_config("analyze", {"task": "lemma", "bucket_sizes": [16],
+                                                "marked": [[3]], "band_sigmas": [3.0]}),
+    "section-not-object": {"mode": "search", "search": [1, 2]},
+}
+
+
+@pytest.mark.parametrize("payload", NON_NUMBERS.values(), ids=NON_NUMBERS.keys())
+def test_mistyped_fields_exit_1_with_one_line(tmp_path, capsys, payload):
+    # these used to run with a coerced value or end in a traceback
+    cfg = write_config(tmp_path, payload)
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_usage_error_exits_1():
@@ -271,6 +311,20 @@ def test_brachistochrone_enumerate_and_bisect(tmp_path):
     assert len(rows) == enum["solution_count"] + 1
     assert 0.0 <= enum["cross_path_rate"] <= 1.0
     assert result["bisect"]["rounds"] >= 1
+
+
+def test_brachistochrone_schedule_flags_reach_bisect(tmp_path):
+    flags = ["--max-count", "2", "--max-rounds", "5", "--strict-paper"]
+    cfg = write_config(tmp_path, brach_config({"bisect": {"max_count": 8}}))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), *flags]) == EXIT_OK
+    report = read_report(out)
+    echo = report["config"]["bisect"]
+    assert (echo["max_count"], echo["max_rounds"], echo["strict_paper"]) == (2, 5, True)
+    assert report["result"]["bisect"]["rounds"] <= 2
+    # without a bisection there is nothing for the flags to act on
+    cfg = write_config(tmp_path, brach_config(), "no_bisect.json")
+    assert main(["--config", cfg, "--out", str(tmp_path / "o2"), "--max-count", "2"]) == EXIT_CONFIG
 
 
 def test_brachistochrone_cap_exit_1(tmp_path):

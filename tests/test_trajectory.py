@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -199,8 +200,56 @@ def test_quadrature_config_validation():
         QuadratureConfig(max_panels=8, base_panels=16)
     with pytest.raises(ValueError):
         QuadratureConfig(rel_tol=1.5)
+    for bad in ({"base_panels": 16.5}, {"nodes_per_panel": True}, {"max_panels": 64.0}):
+        with pytest.raises(ValueError):
+            QuadratureConfig(**bad)
+    assert QuadratureConfig(base_panels=np.int64(4)).base_panels == 4
     with pytest.raises(ValueError):
         brachistochrone_cost(build_brachistochrone_grid(1, [2]), (0,), g=0.0)
+
+
+@pytest.mark.parametrize(
+    "k, n, kind, infs, path, cost",
+    [
+        (3, 8, "polynomial", 135, (7, 6, 4), 1.013104),
+        (3, 8, "linear", 0, (7, 6, 4), 1.030296),
+        (3, 16, "polynomial", 1213, (14, 12, 9), 1.011617),
+        (3, 16, "linear", 0, (15, 13, 10), 1.029091),
+    ],
+)
+def test_cost_table_pins(k, n, kind, infs, path, cost):
+    grid = build_brachistochrone_grid(k, n)
+    table = CostTable.build(grid.sizes, BrachistochroneCost(grid, kind=kind))
+    assert int(np.isinf(table.costs).sum()) == infs
+    got_path, got_cost = table.minimum()
+    assert got_path == path
+    assert abs(got_cost - cost) <= 5e-7
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "linear"])
+def test_single_path_cost_is_the_table_entry(kind):
+    # one row alone and the same row inside a block of rows (the 512 rows
+    # span several evaluation blocks), bit for bit
+    grid = build_brachistochrone_grid(3, 8)
+    table = CostTable.build(grid.sizes, BrachistochroneCost(grid, kind=kind))
+    for path in table.paths:
+        assert brachistochrone_cost(grid, tuple(path), kind=kind) == table.cost_of(path)
+
+
+def test_large_board_builds_in_bounded_memory():
+    grid = build_brachistochrone_grid(4, 16)
+    tracemalloc.start()
+    try:
+        table = CostTable.build(grid.sizes, BrachistochroneCost(grid))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # all 65,536 paths at once would take 64 MB per (paths x samples) array
+    assert peak < 40 * 2**20
+    assert int(np.isinf(table.costs).sum()) == 27167
+    path, cost = table.minimum()
+    assert path == (15, 14, 12, 9)
+    assert abs(cost - 1.010461) <= 5e-7
 
 
 def test_cost_table_order_lookup_minimum():
