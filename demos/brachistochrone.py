@@ -37,7 +37,11 @@ curve = interpolate(grid, path)
 print("interpolated midpoint height:", round(float(curve(1.5708)), 4))
 
 # which ordinates per column appear in any path cheaper than the line?
-query = SolutionSetQuery(0.0, line, grid, cost)
+# Path (5, 3, 1) puts every node on the line, so its cost is the line's
+# time up to quadrature rounding; ending the strict window at that cost
+# leaves the line out by construction instead of by rounding.
+on_line = table.cost_of((5, 3, 1))
+query = SolutionSetQuery(0.0, on_line, grid, cost)
 sets = derive_local_marked_sets(query)
 for i, ms in enumerate(sets):
     print(f"column {i}: {len(ms.marked)}/{n} ordinates occur in sub-line paths")

@@ -44,10 +44,12 @@ from .grover import (
     invert_about_mean,
     measure,
     measure_closed_form,
+    measure_closed_form_many,
     success_probability,
     uniform_init,
 )
 from .search import (
+    MAX_BUCKET_SIZE,
     GridProblem,
     QueryLedger,
     RoundResult,

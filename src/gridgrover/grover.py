@@ -9,12 +9,14 @@ Closed-form amplitudes after ``j`` iterations are available through
 :func:`analytic_amplitudes` for the non-degenerate case ``0 < M < n``;
 the statevector path handles the degenerate marked counts exactly.
 :func:`measure_closed_form` samples the same measurement distribution
-without building the register, which is what the parallel search uses;
-the statevector maps stay as the reference it is tested against.
+without building the register, and :func:`measure_closed_form_many`,
+its array form and bit for bit the same, is what the parallel search
+uses; the statevector maps stay as the reference both are tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -36,6 +38,7 @@ __all__ = [
     "success_probability",
     "measure",
     "measure_closed_form",
+    "measure_closed_form_many",
 ]
 
 # Componentwise tolerance for statevector-vs-analytic agreement, and the
@@ -224,3 +227,48 @@ def measure_closed_form(marks: Sequence[int], n: int, times: int, u: float) -> i
     last = marks[below] if below < count else n - 1
     # p_unmarked > 0: the cosine of a nonzero double is never exactly 0
     return min(start + int((u - mass) / p_unmarked), last)
+
+
+@functools.lru_cache(maxsize=4096)
+def _class_probabilities(count: int, n: int, times: int) -> tuple[float, float]:
+    """(p_marked, p_unmarked) as :func:`measure_closed_form` computes them."""
+    if 0 < count < n:
+        phase = (2 * times + 1) * math.asin(math.sqrt(count / n))
+        return math.sin(phase) ** 2 / count, math.cos(phase) ** 2 / (n - count)
+    return 1.0 / n, 1.0 / n
+
+
+def measure_closed_form_many(
+    marks: np.ndarray, n: int, times: np.ndarray, u: np.ndarray
+) -> np.ndarray:
+    """:func:`measure_closed_form` for every pair ``(times[r], u[r])``, bit
+    for bit: the same float operations, run over arrays.
+
+    The class probabilities come from ``math`` once per distinct iteration
+    count (``np.sin`` need not match libm to the last bit), the binary
+    search over the marks makes ``bisect_right``'s probes for all draws in
+    step, and the offset inside an unmarked run is clamped to the run
+    before the cast to int (p_unmarked can be as small as 1e-33).
+    """
+    marks = np.asarray(marks, dtype=np.int64)
+    count = marks.size
+    levels, level_of = np.unique(times, return_inverse=True)
+    probs = np.array([_class_probabilities(count, n, j) for j in levels.tolist()])
+    p_marked, p_unmarked = probs[level_of, 0], probs[level_of, 1]
+    # before[b] is the b-th mark (-1 for none), so the CDF up to and
+    # including it is cdf(b); after[b] ends the run that follows it
+    before = np.concatenate(([-1], marks))
+    after = np.concatenate((marks, [n - 1]))
+
+    def cdf(b: np.ndarray) -> np.ndarray:
+        return b * p_marked + (before[b] - (b - 1)) * p_unmarked
+
+    lo, hi = np.zeros(u.shape, dtype=np.int64), np.full(u.shape, count)
+    while (open_ := lo < hi).any():
+        mid = (lo + hi) // 2
+        left = u < cdf(np.minimum(mid + 1, count))
+        lo = np.where(open_ & ~left, mid + 1, lo)
+        hi = np.where(open_ & left, mid, hi)
+    start = before[lo] + 1
+    steps = np.minimum((u - cdf(lo)) / p_unmarked, after[lo] - start)
+    return start + steps.astype(np.int64)

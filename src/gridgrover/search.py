@@ -17,6 +17,15 @@ exceeds ``sqrt(n_i)`` the draw for bucket ``i`` is capped at
 ``ceil(sqrt(n_i))`` so a long run keeps amplifying instead of
 overshooting; ``strict_paper=True`` switches to the conservative variant
 that leaves such buckets uniform (``j_i = 0``).
+
+:func:`run_round` plays one round with scalar ``Generator`` calls and is
+the reference.  :func:`run_grid_search` gives bit-identical outcomes
+faster: it decodes blocks of rounds at once from the raw PCG64 words of
+the same seeded stream, reproducing numpy's ``integers`` and ``random``
+(see :class:`_DrawStream`), and still calls the global oracle once per
+round, in order, up to the first accept.  numpy keeps those two
+decodings stable; should a release change them, the replay tests against
+:func:`run_round` fail.
 """
 
 from __future__ import annotations
@@ -24,17 +33,19 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .grover import MarkedSet, measure_closed_form
+from .grover import MarkedSet, measure_closed_form, measure_closed_form_many
 # Unused here: the traced replay in perfbench/tracing.py patches these
 # three names on this module.
 from .grover import apply_oracle, invert_about_mean, uniform_init  # noqa: F401
 
 __all__ = [
+    "MAX_BUCKET_SIZE",
     "GridProblem",
     "ScheduleParams",
     "QueryLedger",
@@ -84,8 +95,14 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(state[0]) ^ (int(state[1]) << 32)
 
 
-def _in_every_set(sets: Sequence[MarkedSet], path: tuple[int, ...]) -> bool:
-    return len(path) == len(sets) and all(p in s.marked for p, s in zip(path, sets))
+# Largest bucket a problem may have: beyond 2**53 the float CDF of the
+# closed-form sampler cannot reach every index, and up to it the block
+# decoder's draw limits stay below 2**32 and its indices fit in int64.
+MAX_BUCKET_SIZE = 2**53
+
+
+def _in_every_set(marks: tuple[frozenset[int], ...], path: tuple[int, ...]) -> bool:
+    return len(path) == len(marks) and all(map(frozenset.__contains__, marks, path))
 
 
 @dataclass
@@ -101,12 +118,19 @@ class GridProblem:
     marked: Sequence[MarkedSet]
     global_oracle: Callable[[tuple[int, ...]], bool]
     _sorted_marks: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _mark_arrays: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.marked = tuple(self.marked)
         if not self.marked:
             raise ValueError("grid problem needs at least one bucket")
+        for ms in self.marked:
+            if ms.size > MAX_BUCKET_SIZE:
+                raise ValueError(
+                    f"bucket size {ms.size} exceeds the limit 2**53 = {MAX_BUCKET_SIZE}"
+                )
         self._sorted_marks = tuple(tuple(sorted(ms.marked)) for ms in self.marked)
+        self._mark_arrays = tuple(np.array(m, dtype=np.int64) for m in self._sorted_marks)
 
     @property
     def k(self) -> int:
@@ -120,7 +144,8 @@ class GridProblem:
     def product(cls, marked_sets: Sequence[MarkedSet]) -> "GridProblem":
         """Build a product-mode problem straight from marked sets."""
         sets = tuple(marked_sets)
-        return cls(marked=sets, global_oracle=functools.partial(_in_every_set, sets))
+        marks = tuple(ms.marked for ms in sets)
+        return cls(marked=sets, global_oracle=functools.partial(_in_every_set, marks))
 
     def marked_sets(self) -> list[MarkedSet]:
         return list(self.marked)
@@ -246,28 +271,161 @@ class SearchOutcome:
         }
 
 
+# Rounds decoded per block: the first block is short because many
+# searches end within it, and each later one doubles up to the cap.
+_FIRST_BLOCK = 32
+_MAX_BLOCK = 1024
+
+_LOW32 = np.uint64(0xFFFFFFFF)
+_TWO32 = np.uint64(1 << 32)
+
+
+class _DrawStream:
+    """The draws :func:`run_round` makes from a ``Generator``, decoded in
+    blocks of rounds from the raw words of its PCG64 bit generator.
+
+    Per round and bucket, in order: ``integers(0, hi + 1)`` unless hi is
+    0, then ``random()``.  ``random()`` is ``(word >> 11) * 2**-53`` of
+    the next word.  ``integers`` is numpy's 32-bit Lemire draw: with
+    ``m = u32 * (hi + 1)`` it draws again while ``m mod 2**32`` is below
+    ``2**32 mod (hi + 1)``, and returns ``m >> 32``.  A u32 is the low
+    half of a fresh word, whose high half the generator keeps for the
+    next u32.  Words are read ahead and kept until a round consumes them.
+    """
+
+    def __init__(self, bit_generator: np.random.BitGenerator):
+        self._bits = bit_generator
+        self._words = np.empty(0, dtype=np.uint64)
+        self._half: int | None = None  # the buffered high half, if any
+
+    def _peek(self, count: int) -> np.ndarray:
+        if self._words.size < count:
+            fresh = self._bits.random_raw(count - self._words.size)
+            self._words = np.concatenate((self._words, fresh))
+        return self._words[:count]
+
+    def draw(self, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(j, u) per round and bucket for the draw limits ``hi``, shape
+        (rounds, buckets), continuing the stream where the last call left it."""
+        j, u = np.zeros(hi.shape, dtype=np.int64), np.empty(hi.shape)
+        done = 0
+        while done < hi.shape[0]:
+            done += self._decode(hi[done:], j[done:], u[done:])
+            if done < hi.shape[0]:
+                # this round has a Lemire rejection: draw it one call at a time
+                for i, limit in enumerate(hi[done].tolist()):
+                    j[done, i] = self._integer(limit) if limit else 0
+                    u[done, i] = self._random()
+                done += 1
+        return j, u
+
+    def _decode(self, hi: np.ndarray, j: np.ndarray, u: np.ndarray) -> int:
+        """Fill j and u for the rounds before the first one with a Lemire
+        rejection, all at once, and return how many that is."""
+        rows, width = hi.shape
+        flat = hi.ravel()
+        has_u32 = flat > 0
+        # a u32 reads a fresh word unless the previous one left its high half
+        carry = self._half is not None
+        fresh = has_u32 & ((np.cumsum(has_u32) - has_u32 + carry) % 2 == 0)
+        before = np.cumsum(fresh) - fresh + np.arange(flat.size)  # words before each slot
+        words = self._peek(int(before[-1] + fresh[-1]) + 1)
+        u[:] = ((words[before + fresh] >> 11).astype(np.float64) * 2.0**-53).reshape(rows, width)
+
+        slots = np.flatnonzero(has_u32)
+        read = words[before[slots]]
+        highs = read >> 32
+        kept = np.concatenate((np.array([self._half or 0], dtype=np.uint64), highs[:-1]))
+        u32 = np.where(fresh[slots], read & _LOW32, kept)
+        excl = flat[slots].astype(np.uint64) + 1
+        m = u32 * excl
+        rejected = (m & _LOW32) < _TWO32 % excl
+        clean = int(slots[rejected.argmax()]) // width if rejected.any() else rows
+        stop = clean * width
+        picked = np.zeros(flat.size, dtype=np.int64)
+        picked[slots] = m >> 32
+        j[:clean] = picked[:stop].reshape(clean, width)
+
+        # the stream as it stands after the clean rounds
+        events = int(np.searchsorted(slots, stop))
+        if (events + carry) % 2 == 0:
+            self._half = None
+        elif events:
+            self._half = int(highs[events - 1])
+        consumed = int(before[stop]) if stop < flat.size else words.size
+        self._words = self._words[consumed:]
+        return clean
+
+    def _next_word(self) -> int:
+        word = int(self._peek(1)[0])
+        self._words = self._words[1:]
+        return word
+
+    def _integer(self, hi: int) -> int:
+        excl, threshold = hi + 1, (1 << 32) % (hi + 1)
+        while True:
+            if self._half is None:
+                word = self._next_word()
+                u32, self._half = word & 0xFFFFFFFF, word >> 32
+            else:
+                u32, self._half = self._half, None
+            m = u32 * excl
+            if m & 0xFFFFFFFF >= threshold:
+                return m >> 32
+
+    def _random(self) -> float:
+        return (self._next_word() >> 11) * 2.0**-53
+
+
 def run_grid_search(problem: GridProblem, params: ScheduleParams) -> SearchOutcome:
     """Run rounds with geometrically growing budget until the global
     oracle accepts or ``max_rounds`` is exhausted.
 
-    Identical (problem, params) give bit-identical outcomes: the round
-    loop consumes the seeded generator in a fixed order (per bucket, one
-    integer draw then one measurement draw).
+    Identical (problem, params) give bit-identical outcomes, the same as
+    replaying :func:`run_round` on ``default_rng(params.seed)`` (per
+    bucket, one integer draw then one measurement draw).  Rounds are
+    decoded in blocks; the global oracle still sees one call per round,
+    in round order, and none after the first accept.
     """
     lam, max_rounds = params.resolve(problem)
-    rng = np.random.default_rng(params.seed)
+    stream = _DrawStream(np.random.default_rng(params.seed).bit_generator)
+    oracle = problem.global_oracle
+    sizes = problem.sizes
+    roots = np.array([math.sqrt(n) for n in sizes])
+    caps = np.array([0 if params.strict_paper else math.ceil(r) for r in roots.tolist()])
     ledger = QueryLedger.zero(problem.k)
-    m = 1.0
-    for round_index in range(1, max_rounds + 1):
-        result = run_round(problem, m, rng, strict_paper=params.strict_paper)
-        for i, j in enumerate(result.iterations):
-            ledger.grover_iterations_per_bucket[i] += j
-        ledger.global_oracle_calls += 1
-        ledger.rounds += 1
-        if result.accepted:
-            return SearchOutcome(True, result.path, round_index, ledger)
-        m *= lam
+    m, done, block = 1.0, 0, _FIRST_BLOCK
+    while done < max_rounds:
+        count = min(block, max_rounds - done)
+        # repeated m *= lam, as round by round: lam**r differs in the last bits
+        budgets = list(itertools.accumulate(itertools.repeat(lam, count - 1), operator.mul, initial=m))
+        column = np.array(budgets)[:, None]
+        below_cap = np.ceil(np.minimum(column, roots) - 1.0).astype(np.int64)
+        hi = np.where(column > roots, caps, below_cap)
+        j, u = stream.draw(hi)
+        paths = np.column_stack([
+            measure_closed_form_many(marks, n, j[:, i], u[:, i])
+            for i, (marks, n) in enumerate(zip(problem._mark_arrays, sizes))
+        ])
+        for r, path in enumerate(map(tuple, paths.tolist())):
+            if oracle(path):
+                _charge(ledger, j[: r + 1])
+                return SearchOutcome(True, path, done + r + 1, ledger)
+        _charge(ledger, j)
+        done += count
+        m = budgets[-1] * lam
+        block = min(2 * block, _MAX_BLOCK)
     return SearchOutcome(False, None, max_rounds, ledger)
+
+
+def _charge(ledger: QueryLedger, draws: np.ndarray) -> None:
+    """Add rounds, one global oracle call each, and their iterations."""
+    spent = draws.sum(axis=0).tolist()
+    ledger.grover_iterations_per_bucket = [
+        a + b for a, b in zip(ledger.grover_iterations_per_bucket, spent)
+    ]
+    ledger.global_oracle_calls += draws.shape[0]
+    ledger.rounds += draws.shape[0]
 
 
 def exhaustive_search(problem: GridProblem, cap: int = 10_000_000) -> SearchOutcome:

@@ -362,7 +362,11 @@ class BrachistochroneCost:
         ``max_panels``; paths are evaluated in blocks of _BLOCK_ELEMENTS."""
         xs, rows, cfg = self.grid.node_abscissae, self.grid.node_rows(paths), self.quadrature
         times, prev = np.full(rows.shape[0], math.inf), np.full(rows.shape[0], math.nan)
-        live = np.flatnonzero(_positive(self.kind, xs, rows))
+        positive = np.empty(rows.shape[0], dtype=bool)
+        step = max(1, _BLOCK_ELEMENTS // rows.shape[1])
+        for s in range(0, rows.shape[0], step):
+            positive[s : s + step] = _positive(self.kind, xs, rows[s : s + step])
+        live = np.flatnonzero(positive)
         panels = cfg.base_panels
         while live.size:
             if panels > cfg.max_panels:
@@ -423,8 +427,19 @@ class CostTable:
         return cls(sizes=sizes, paths=paths, costs=np.array([float(cost(tuple(p))) for p in paths]))
 
     def cost_of(self, path: Sequence[int]) -> float:
-        flat = int(np.ravel_multi_index(tuple(int(i) for i in path), self.sizes))
-        return float(self.costs[flat])
+        return float(self.costs[self._flat_index(path)])
+
+    def _flat_index(self, path: Sequence[int]) -> int:
+        """Row-major position of ``path`` in the table; ValueError if it
+        has the wrong length or a coordinate outside its bucket."""
+        if len(path) != len(self.sizes):
+            raise ValueError(f"path {tuple(path)} needs {len(self.sizes)} coordinates")
+        flat = 0
+        for i, n in zip(map(int, path), self.sizes):
+            if not 0 <= i < n:
+                raise ValueError(f"coordinate {i} outside [0, {n})")
+            flat = flat * n + i
+        return flat
 
     def solution_mask(self, a: float, b: float) -> np.ndarray:
         return (self.costs > a) & (self.costs < b)
@@ -434,7 +449,9 @@ class CostTable:
 
     def marked_sets(self, a: float, b: float) -> list[MarkedSet]:
         """Per-column projection of the solution set."""
-        mask = self.solution_mask(a, b)
+        return self._project(self.solution_mask(a, b))
+
+    def _project(self, mask: np.ndarray) -> list[MarkedSet]:
         hits = self.paths[mask]
         return [
             MarkedSet.from_indices(n, np.unique(hits[:, i]) if hits.size else ())
@@ -515,8 +532,8 @@ class RangeProblemFamily:
 
     Costs are tabulated once; each bracket's problem is the table's
     per-column projection of the window (its marked sets) plus a global
-    oracle that checks the tabulated cost, so repeated brackets over the
-    same space stay cheap and consistent.
+    oracle that reads the window's mask of tabulated costs, so repeated
+    brackets over the same space stay cheap and consistent.
     """
 
     table: CostTable
@@ -528,11 +545,12 @@ class RangeProblemFamily:
         return cls(table=CostTable.build(sizes, cost, cap=cap))
 
     def __call__(self, a: float, b: float) -> GridProblem:
-        def oracle(path: tuple[int, ...], _t=self.table, _a=a, _b=b) -> bool:
-            c = _t.cost_of(path)
-            return _a < c < _b
+        mask = self.table.solution_mask(a, b)
 
-        return GridProblem(marked=self.table.marked_sets(a, b), global_oracle=oracle)
+        def oracle(path: tuple[int, ...], _index=self.table._flat_index, _mask=mask) -> bool:
+            return bool(_mask[_index(path)])
+
+        return GridProblem(marked=self.table._project(mask), global_oracle=oracle)
 
     def cost_of(self, path: Sequence[int]) -> float:
         return self.table.cost_of(path)

@@ -1,15 +1,26 @@
 import functools
+import itertools
 import math
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import gridgrover.bisection as bisection
 from gridgrover import (
+    MAX_BUCKET_SIZE,
+    BrachistochroneCost,
+    CostTable,
     GridProblem,
     MarkedSet,
+    QueryLedger,
+    RangeProblemFamily,
     ScheduleParams,
+    SearchOutcome,
+    build_brachistochrone_grid,
     default_lambda,
     default_max_rounds,
     derive_seed,
@@ -17,11 +28,13 @@ from gridgrover import (
     grover_iterate,
     lambda_upper_bound,
     measure,
+    run_bisect,
     run_grid_search,
     run_round,
     trial_rng,
     uniform_init,
 )
+from gridgrover.search import _DrawStream
 
 
 def test_default_lambda_values():
@@ -164,8 +177,6 @@ def test_cost_mode_problem_rejects_cross_paths():
     def cost(path):
         return float(sum(path))
 
-    from gridgrover import RangeProblemFamily
-
     fam = RangeProblemFamily.from_cost((4, 4), cost)
     prob = fam(4.5, 6.5)  # sums 5 and 6
     sets = prob.marked_sets()
@@ -234,3 +245,146 @@ def test_huge_buckets_sample_without_statevectors():
     assert all(0 <= p < n for p in res.path)
     assert all(0 <= j <= 2**20 for j in res.iterations)
     assert out.ledger.rounds == out.rounds_used <= 50
+
+
+def test_buckets_above_2_53_are_refused():
+    assert MAX_BUCKET_SIZE == 2**53
+    GridProblem.product([MarkedSet.from_indices(2**53, [0])])
+    with pytest.raises(ValueError, match=r"2\*\*53"):
+        GridProblem.product([MarkedSet.from_indices(4, [1]), MarkedSet.from_indices(2**53 + 1, [])])
+
+
+@st.composite
+def draw_schedules(draw):
+    """A seed, draw limits (rounds x buckets) and the block sizes to decode them in."""
+    width = draw(st.integers(1, 4))
+    limit = st.one_of(
+        st.integers(0, 3), st.integers(0, 3 * 2**30), st.sampled_from([1, 2**31, 3 * 2**30])
+    )
+    rows = draw(st.lists(st.lists(limit, min_size=width, max_size=width), min_size=1, max_size=40))
+    cuts = draw(st.lists(st.integers(1, 12), min_size=1, max_size=10))
+    return draw(st.integers(0, 2**32)), np.array(rows, dtype=np.int64), cuts
+
+
+@settings(max_examples=400, deadline=None)
+@given(draw_schedules())
+# limits of 3*2**30 reject about one u32 in four
+@example((7, np.full((6, 3), 3 * 2**30), [1, 2]))
+def test_block_decoder_matches_generator_calls(case):
+    seed, hi, cuts = case
+    rng = np.random.default_rng(seed)
+    want_j, want_u = np.zeros(hi.shape, dtype=np.int64), np.empty(hi.shape)
+    for r, row in enumerate(hi.tolist()):
+        for i, limit in enumerate(row):
+            want_j[r, i] = rng.integers(0, limit + 1) if limit else 0
+            want_u[r, i] = rng.random()
+    stream = _DrawStream(np.random.default_rng(seed).bit_generator)
+    got_j, got_u, start = [], [], 0
+    for cut in itertools.cycle(cuts):
+        if start == hi.shape[0]:
+            break
+        j, u = stream.draw(hi[start : start + cut])
+        got_j.append(j)
+        got_u.append(u)
+        start += j.shape[0]
+    assert np.array_equal(np.concatenate(got_j), want_j)
+    assert np.concatenate(got_u).tolist() == want_u.tolist()
+
+
+def _replayed_search(problem: GridProblem, params: ScheduleParams):
+    """The search as run_round after run_round on one generator; returns the
+    outcome and the paths the global oracle was asked about, in order."""
+    lam, max_rounds = params.resolve(problem)
+    rng = np.random.default_rng(params.seed)
+    ledger, m, asked = QueryLedger.zero(problem.k), 1.0, []
+    for r in range(1, max_rounds + 1):
+        res = run_round(problem, m, rng, strict_paper=params.strict_paper)
+        ledger.grover_iterations_per_bucket = [
+            a + b for a, b in zip(ledger.grover_iterations_per_bucket, res.iterations)
+        ]
+        ledger.global_oracle_calls += 1
+        ledger.rounds += 1
+        asked.append(res.path)
+        if res.accepted:
+            return SearchOutcome(True, res.path, r, ledger), asked
+        m *= lam
+    return SearchOutcome(False, None, max_rounds, ledger), asked
+
+
+def _assert_matches_replay(problem: GridProblem, params: ScheduleParams) -> SearchOutcome:
+    asked = []
+
+    def logged(path, _accept=problem.global_oracle):
+        asked.append(path)
+        return _accept(path)
+
+    got = run_grid_search(GridProblem(marked=problem.marked, global_oracle=logged), params)
+    want, want_asked = _replayed_search(problem, params)
+    assert got == want
+    assert asked == want_asked
+    return got
+
+
+def _buckets(sizes, counts):
+    return [
+        MarkedSet.from_indices(n, range(n) if c == n else _marks(n, c) if c else [])
+        for n, c in zip(sizes, counts)
+    ]
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize(
+    "sizes, counts",
+    [
+        ((64,), (1,)),
+        ((16, 8), (1, 2)),
+        ((64, 64, 64), (1, 1, 1)),
+        ((40, 9, 25, 16), (3, 1, 2, 16)),  # an all-marked bucket
+        ((16, 16, 16), (1, 0, 1)),  # an empty bucket: every round fails
+        ((2**40,), (1,)),
+    ],
+)
+def test_block_search_matches_round_replay(sizes, counts, strict):
+    problem = GridProblem.product(_buckets(sizes, counts))
+    for seed in range(12):
+        _assert_matches_replay(problem, ScheduleParams(seed=seed, strict_paper=strict))
+
+
+@pytest.mark.parametrize("max_rounds", [1, 31, 32, 33, 45, 96, 200])
+def test_block_search_stops_mid_block(max_rounds):
+    problem = GridProblem.product(_buckets((64, 32), (0, 1)))
+    out = _assert_matches_replay(problem, ScheduleParams(seed=3, max_rounds=max_rounds))
+    assert out.rounds_used == out.ledger.rounds == max_rounds
+
+
+def test_block_search_budgets_repeat_the_multiplication():
+    # with lam = 2**(1/3), six products give m = 4.0 (draws up to 3) where
+    # lam**6 = 4.000000000000001 (draws up to 4)
+    lam = 2 ** (1 / 3)
+    assert math.ceil(lam**6 - 1) == 4
+    problem = GridProblem.product(_buckets((64,), (0,)))
+    for seed in range(12):
+        _assert_matches_replay(problem, ScheduleParams(seed=seed, lam=lam, max_rounds=12))
+
+
+def test_block_search_matches_replay_through_lemire_rejections():
+    # draws up to 2**26 reject about one u32 in a hundred
+    n = 2**52 + 12345
+    problem = GridProblem.product([MarkedSet.from_indices(n, [n // 7, n // 3])])
+    for seed in range(4):
+        _assert_matches_replay(problem, ScheduleParams(seed=seed, lam=1.3))
+
+
+def test_bisect_inner_searches_match_round_replay(monkeypatch):
+    grid = build_brachistochrone_grid(3, 8)
+    family = RangeProblemFamily(CostTable.build(grid.sizes, BrachistochroneCost(grid)))
+    seen = []
+
+    def checked(problem, params):
+        seen.append(params.seed)
+        return _assert_matches_replay(problem, params)
+
+    monkeypatch.setattr(bisection, "run_grid_search", checked)
+    for seed in range(3):
+        run_bisect(family, family.cost_of, 0.0, 1.2, 8, ScheduleParams(seed=seed))
+    assert len(seen) >= 24

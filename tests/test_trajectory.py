@@ -252,6 +252,26 @@ def test_large_board_builds_in_bounded_memory():
     assert abs(cost - 1.010461) <= 5e-7
 
 
+def test_polynomial_positivity_is_blocked_like_the_quadrature():
+    # deciding positivity for all 65,536 rows at once peaked at 22 MB;
+    # the broken line, which needs no Bernstein pieces, peaks at 8.6 MB
+    grid = build_brachistochrone_grid(4, 16)
+    tracemalloc.start()
+    try:
+        CostTable.build(grid.sizes, BrachistochroneCost(grid, kind="polynomial"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 11 * 2**20
+
+
+@pytest.mark.parametrize("path", [(1,), (1, 1, 1), (-1, 0), (0, -3), (3, 0), (0, 2), (7, 7)])
+def test_cost_of_rejects_paths_outside_the_table(path):
+    table = CostTable.build((3, 2), IndexSumCost(sizes=(3, 2)))
+    with pytest.raises(ValueError):
+        table.cost_of(path)
+
+
 def test_cost_table_order_lookup_minimum():
     table = CostTable.build((3, 2), IndexSumCost(sizes=(3, 2)))
     assert [tuple(p) for p in table.paths] == [
