@@ -31,7 +31,6 @@ from .bisection import (
     BoundInterval,
     PathWitness,
     initial_upper_bound,
-    range_oracle,
     run_bisect,
 )
 from .grover import (

@@ -33,7 +33,6 @@ __all__ = [
     "PathWitness",
     "BisectRound",
     "BisectResult",
-    "range_oracle",
     "initial_upper_bound",
     "run_bisect",
 ]
@@ -59,18 +58,6 @@ class BoundInterval:
 
     def to_dict(self) -> dict:
         return {"lower": self.lower, "upper": self.upper}
-
-
-def range_oracle(a: float, b: float, cost: Callable) -> Callable[[tuple[int, ...]], bool]:
-    """Strict range predicate: accepts a path iff a < cost(path) < b."""
-    if not a < b:
-        raise ValueError("range oracle needs a < b")
-
-    def oracle(path: tuple[int, ...]) -> bool:
-        c = cost(path)
-        return a < c < b
-
-    return oracle
 
 
 def initial_upper_bound(sizes, cost: Callable, rng: np.random.Generator) -> float:

@@ -392,15 +392,19 @@ def cmd_analyze(section: dict, seed: int, jobs: int):
 def _analyze_lemma(section, seed, jobs, problem, problem_echo, stats):
     alpha_star = lemma_threshold(stats)
     floor = 4.0 ** (-problem.k)
-    if "m_values" in section:
-        m_values = _int_list(section["m_values"], "analyze.m_values")
-    else:
-        m_values = list(range(math.ceil(alpha_star) + 1, math.floor(4.0 * alpha_star) + 1))
-    if not m_values:
-        raise ConfigError("analyze.m_values resolves to an empty sweep")
     trials = _int(section.get("trials", 0), "analyze.trials")
     if trials < 0:
         raise ConfigError("analyze.trials must be >= 0")
+    if "m_values" in section:
+        m_values = _int_list(section["m_values"], "analyze.m_values")
+    else:
+        last = math.floor(4.0 * alpha_star)
+        if trials > 0:
+            # simulated rounds need m <= sqrt(n_i) in every bucket
+            last = min(last, math.isqrt(min(problem.sizes)))
+        m_values = list(range(math.ceil(alpha_star) + 1, last + 1))
+    if not m_values:
+        raise ConfigError("analyze.m_values resolves to an empty sweep")
     band_sigmas = _number(section.get("band_sigmas", 3.0), "analyze.band_sigmas")
 
     rows = []

@@ -9,9 +9,12 @@ Closed-form amplitudes after ``j`` iterations are available through
 :func:`analytic_amplitudes` for the non-degenerate case ``0 < M < n``;
 the statevector path handles the degenerate marked counts exactly.
 :func:`measure_closed_form` samples the same measurement distribution
-without building the register, and :func:`measure_closed_form_many`,
-its array form and bit for bit the same, is what the parallel search
-uses; the statevector maps stay as the reference both are tested against.
+without building the register, one draw at a time as a single round
+(:func:`~gridgrover.search.run_round`) needs it;
+:func:`measure_closed_form_many`, its array form and bit for bit the
+same, samples a whole block of rounds of
+:func:`~gridgrover.search.run_grid_search`.  The statevector maps stay
+as the reference both are tested against.
 """
 
 from __future__ import annotations

@@ -18,14 +18,15 @@ exceeds ``sqrt(n_i)`` the draw for bucket ``i`` is capped at
 overshooting; ``strict_paper=True`` switches to the conservative variant
 that leaves such buckets uniform (``j_i = 0``).
 
-:func:`run_round` plays one round with scalar ``Generator`` calls and is
-the reference.  :func:`run_grid_search` gives bit-identical outcomes
-faster: it decodes blocks of rounds at once from the raw PCG64 words of
-the same seeded stream, reproducing numpy's ``integers`` and ``random``
-(see :class:`_DrawStream`), and still calls the global oracle once per
-round, in order, up to the first accept.  numpy keeps those two
-decodings stable; should a release change them, the replay tests against
-:func:`run_round` fail.
+:func:`run_round` plays one round with scalar calls on one ``Generator``;
+the lemma sweep samples single rounds with it.  :func:`run_grid_search`
+plays blocks of rounds at once: every iteration count of a block comes
+from one vectorised ``integers`` call on a generator seeded with
+``params.seed``, every measurement uniform from one ``random`` call on a
+second generator jumped ahead of the first.  Each stream is consumed as
+the same calls made round by round would consume it, so an outcome does
+not depend on how rounds are cut into blocks.  The global oracle is
+still called once per round, in order, up to the first accept.
 """
 
 from __future__ import annotations
@@ -96,8 +97,7 @@ def derive_seed(seed: int, *path: int) -> int:
 
 
 # Largest bucket a problem may have: beyond 2**53 the float CDF of the
-# closed-form sampler cannot reach every index, and up to it the block
-# decoder's draw limits stay below 2**32 and its indices fit in int64.
+# closed-form sampler cannot reach every index.
 MAX_BUCKET_SIZE = 2**53
 
 
@@ -271,124 +271,27 @@ class SearchOutcome:
         }
 
 
-# Rounds decoded per block: the first block is short because many
+# Rounds drawn per block: the first block is short because many
 # searches end within it, and each later one doubles up to the cap.
 _FIRST_BLOCK = 32
 _MAX_BLOCK = 1024
-
-_LOW32 = np.uint64(0xFFFFFFFF)
-_TWO32 = np.uint64(1 << 32)
-
-
-class _DrawStream:
-    """The draws :func:`run_round` makes from a ``Generator``, decoded in
-    blocks of rounds from the raw words of its PCG64 bit generator.
-
-    Per round and bucket, in order: ``integers(0, hi + 1)`` unless hi is
-    0, then ``random()``.  ``random()`` is ``(word >> 11) * 2**-53`` of
-    the next word.  ``integers`` is numpy's 32-bit Lemire draw: with
-    ``m = u32 * (hi + 1)`` it draws again while ``m mod 2**32`` is below
-    ``2**32 mod (hi + 1)``, and returns ``m >> 32``.  A u32 is the low
-    half of a fresh word, whose high half the generator keeps for the
-    next u32.  Words are read ahead and kept until a round consumes them.
-    """
-
-    def __init__(self, bit_generator: np.random.BitGenerator):
-        self._bits = bit_generator
-        self._words = np.empty(0, dtype=np.uint64)
-        self._half: int | None = None  # the buffered high half, if any
-
-    def _peek(self, count: int) -> np.ndarray:
-        if self._words.size < count:
-            fresh = self._bits.random_raw(count - self._words.size)
-            self._words = np.concatenate((self._words, fresh))
-        return self._words[:count]
-
-    def draw(self, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(j, u) per round and bucket for the draw limits ``hi``, shape
-        (rounds, buckets), continuing the stream where the last call left it."""
-        j, u = np.zeros(hi.shape, dtype=np.int64), np.empty(hi.shape)
-        done = 0
-        while done < hi.shape[0]:
-            done += self._decode(hi[done:], j[done:], u[done:])
-            if done < hi.shape[0]:
-                # this round has a Lemire rejection: draw it one call at a time
-                for i, limit in enumerate(hi[done].tolist()):
-                    j[done, i] = self._integer(limit) if limit else 0
-                    u[done, i] = self._random()
-                done += 1
-        return j, u
-
-    def _decode(self, hi: np.ndarray, j: np.ndarray, u: np.ndarray) -> int:
-        """Fill j and u for the rounds before the first one with a Lemire
-        rejection, all at once, and return how many that is."""
-        rows, width = hi.shape
-        flat = hi.ravel()
-        has_u32 = flat > 0
-        # a u32 reads a fresh word unless the previous one left its high half
-        carry = self._half is not None
-        fresh = has_u32 & ((np.cumsum(has_u32) - has_u32 + carry) % 2 == 0)
-        before = np.cumsum(fresh) - fresh + np.arange(flat.size)  # words before each slot
-        words = self._peek(int(before[-1] + fresh[-1]) + 1)
-        u[:] = ((words[before + fresh] >> 11).astype(np.float64) * 2.0**-53).reshape(rows, width)
-
-        slots = np.flatnonzero(has_u32)
-        read = words[before[slots]]
-        highs = read >> 32
-        kept = np.concatenate((np.array([self._half or 0], dtype=np.uint64), highs[:-1]))
-        u32 = np.where(fresh[slots], read & _LOW32, kept)
-        excl = flat[slots].astype(np.uint64) + 1
-        m = u32 * excl
-        rejected = (m & _LOW32) < _TWO32 % excl
-        clean = int(slots[rejected.argmax()]) // width if rejected.any() else rows
-        stop = clean * width
-        picked = np.zeros(flat.size, dtype=np.int64)
-        picked[slots] = m >> 32
-        j[:clean] = picked[:stop].reshape(clean, width)
-
-        # the stream as it stands after the clean rounds
-        events = int(np.searchsorted(slots, stop))
-        if (events + carry) % 2 == 0:
-            self._half = None
-        elif events:
-            self._half = int(highs[events - 1])
-        consumed = int(before[stop]) if stop < flat.size else words.size
-        self._words = self._words[consumed:]
-        return clean
-
-    def _next_word(self) -> int:
-        word = int(self._peek(1)[0])
-        self._words = self._words[1:]
-        return word
-
-    def _integer(self, hi: int) -> int:
-        excl, threshold = hi + 1, (1 << 32) % (hi + 1)
-        while True:
-            if self._half is None:
-                word = self._next_word()
-                u32, self._half = word & 0xFFFFFFFF, word >> 32
-            else:
-                u32, self._half = self._half, None
-            m = u32 * excl
-            if m & 0xFFFFFFFF >= threshold:
-                return m >> 32
-
-    def _random(self) -> float:
-        return (self._next_word() >> 11) * 2.0**-53
 
 
 def run_grid_search(problem: GridProblem, params: ScheduleParams) -> SearchOutcome:
     """Run rounds with geometrically growing budget until the global
     oracle accepts or ``max_rounds`` is exhausted.
 
-    Identical (problem, params) give bit-identical outcomes, the same as
-    replaying :func:`run_round` on ``default_rng(params.seed)`` (per
-    bucket, one integer draw then one measurement draw).  Rounds are
-    decoded in blocks; the global oracle still sees one call per round,
-    in round order, and none after the first accept.
+    Identical (problem, params) give bit-identical outcomes.  The
+    iteration counts are ``integers(0, hi + 1)`` draws on
+    ``default_rng(params.seed)``, round by round and bucket by bucket
+    (none where hi is 0); the measurement uniforms are ``random()`` draws
+    on a ``Generator`` over that bit generator's ``jumped()`` copy.
+    Rounds are drawn in blocks; the global oracle still sees one call per
+    round, in round order, and none after the first accept.
     """
     lam, max_rounds = params.resolve(problem)
-    stream = _DrawStream(np.random.default_rng(params.seed).bit_generator)
+    draws = np.random.default_rng(params.seed)
+    measures = np.random.Generator(draws.bit_generator.jumped())
     oracle = problem.global_oracle
     sizes = problem.sizes
     roots = np.array([math.sqrt(n) for n in sizes])
@@ -402,7 +305,7 @@ def run_grid_search(problem: GridProblem, params: ScheduleParams) -> SearchOutco
         column = np.array(budgets)[:, None]
         below_cap = np.ceil(np.minimum(column, roots) - 1.0).astype(np.int64)
         hi = np.where(column > roots, caps, below_cap)
-        j, u = stream.draw(hi)
+        j, u = draws.integers(0, hi + 1), measures.random(hi.shape)
         paths = np.column_stack([
             measure_closed_form_many(marks, n, j[:, i], u[:, i])
             for i, (marks, n) in enumerate(zip(problem._mark_arrays, sizes))

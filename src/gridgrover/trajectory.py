@@ -508,10 +508,7 @@ def cross_path_rate(query: SolutionSetQuery) -> float:
     marked = table.marked_sets(query.lower, query.upper)
     in_product = np.ones(table.paths.shape[0], dtype=bool)
     for i, ms in enumerate(marked):
-        allowed = np.zeros(table.sizes[i], dtype=bool)
-        for idx in ms.marked:
-            allowed[idx] = True
-        in_product &= allowed[table.paths[:, i]]
+        in_product &= ms.indicator()[table.paths[:, i]]
     count = int(in_product.sum())
     if count == 0:
         return 0.0

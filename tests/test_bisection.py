@@ -5,7 +5,6 @@ from gridgrover import (
     RangeProblemFamily,
     ScheduleParams,
     initial_upper_bound,
-    range_oracle,
     run_bisect,
     trial_rng,
 )
@@ -31,15 +30,6 @@ def test_toy_trace_matches_hand_enumeration():
     assert res.witness is not None
     assert res.witness.path == (0,)
     assert res.witness.cost == 1.0
-
-
-def test_range_oracle_truth_table():
-    cost = IndexSumCost(sizes=(8,), offset=1.0)
-    oracle = range_oracle(1.0, 3.0, cost)
-    # costs 1,2,3,4: both endpoints excluded
-    assert [oracle((i,)) for i in range(4)] == [False, True, False, False]
-    with pytest.raises(ValueError):
-        range_oracle(2.0, 2.0, cost)
 
 
 def test_interval_halves_per_successful_round():

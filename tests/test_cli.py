@@ -361,6 +361,20 @@ def test_analyze_lemma_empty_sweep_exit_1(tmp_path):
     assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
 
+def test_analyze_lemma_default_sweep_stops_at_sqrt_n_when_simulated(tmp_path):
+    # 4 alpha* passes sqrt(64) = 8 here; simulated rounds must stay at or below it
+    section = {"bucket_sizes": [64, 64], "marked": [[3], [9]], "trials": 500}
+    cfg = write_config(tmp_path, lemma_config(section))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == EXIT_OK
+    result = read_report(out)["result"]
+    assert math.floor(4 * result["alpha_star"]) > 8
+    sweep = [row["m"] for row in result["rows"]]
+    assert sweep[0] == math.ceil(result["alpha_star"]) + 1
+    assert sweep[-1] == 8
+    assert all("within_band" in row for row in result["rows"])
+
+
 def test_analyze_degenerate_bucket_exit_1(tmp_path):
     cfg = write_config(tmp_path, lemma_config({"marked": [[]]}))
     assert main(["--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG

@@ -1,15 +1,13 @@
 import functools
-import itertools
 import math
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 import gridgrover.bisection as bisection
+import gridgrover.search as search
 from gridgrover import (
     MAX_BUCKET_SIZE,
     BrachistochroneCost,
@@ -28,13 +26,13 @@ from gridgrover import (
     grover_iterate,
     lambda_upper_bound,
     measure,
+    measure_closed_form,
     run_bisect,
     run_grid_search,
     run_round,
     trial_rng,
     uniform_init,
 )
-from gridgrover.search import _DrawStream
 
 
 def test_default_lambda_values():
@@ -87,6 +85,29 @@ def test_overshoot_cap_and_strict_variant():
     assert strict.iterations == (0,)
 
 
+def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """The generators a search draws its iteration counts and its
+    measurement uniforms from."""
+    draws = np.random.default_rng(seed)
+    return draws, np.random.Generator(draws.bit_generator.jumped())
+
+
+def _replayed_round(problem: GridProblem, m: float, draws, measures, strict_paper: bool):
+    """One round as scalar calls: per bucket, an iteration count on
+    ``draws`` (none when the limit is 0) and a uniform on ``measures``."""
+    path, iterations = [], []
+    for ms in problem.marked:
+        root = math.sqrt(ms.size)
+        if m > root:
+            hi = 0 if strict_paper else math.ceil(root)
+        else:
+            hi = math.ceil(m - 1)
+        j = int(draws.integers(0, hi + 1)) if hi > 0 else 0
+        path.append(measure_closed_form(sorted(ms.marked), ms.size, j, measures.random()))
+        iterations.append(j)
+    return tuple(path), tuple(iterations)
+
+
 def test_ledger_matches_replayed_rounds():
     prob = GridProblem.product(
         [MarkedSet.from_indices(16, [4]), MarkedSet.from_indices(8, [1, 2])]
@@ -95,17 +116,16 @@ def test_ledger_matches_replayed_rounds():
     out = run_grid_search(prob, params)
     assert out.success
 
-    # replay the schedule with the same generator and count queries by hand
+    # replay the schedule with the same generators and count queries by hand
     lam, _ = params.resolve(prob)
-    rng = np.random.default_rng(123)
-    fresh = GridProblem.product(prob.marked_sets())
+    draws, measures = _streams(123)
     m, iters, calls = 1.0, [0, 0], 0
     while True:
-        res = run_round(fresh, m, rng)
-        iters = [a + b for a, b in zip(iters, res.iterations)]
+        path, iterations = _replayed_round(prob, m, draws, measures, False)
+        iters = [a + b for a, b in zip(iters, iterations)]
         calls += 1
-        if res.accepted:
-            assert res.path == out.path
+        if prob.global_oracle(path):
+            assert path == out.path
             break
         m *= lam
     assert calls == out.rounds_used == out.ledger.rounds
@@ -254,59 +274,23 @@ def test_buckets_above_2_53_are_refused():
         GridProblem.product([MarkedSet.from_indices(4, [1]), MarkedSet.from_indices(2**53 + 1, [])])
 
 
-@st.composite
-def draw_schedules(draw):
-    """A seed, draw limits (rounds x buckets) and the block sizes to decode them in."""
-    width = draw(st.integers(1, 4))
-    limit = st.one_of(
-        st.integers(0, 3), st.integers(0, 3 * 2**30), st.sampled_from([1, 2**31, 3 * 2**30])
-    )
-    rows = draw(st.lists(st.lists(limit, min_size=width, max_size=width), min_size=1, max_size=40))
-    cuts = draw(st.lists(st.integers(1, 12), min_size=1, max_size=10))
-    return draw(st.integers(0, 2**32)), np.array(rows, dtype=np.int64), cuts
-
-
-@settings(max_examples=400, deadline=None)
-@given(draw_schedules())
-# limits of 3*2**30 reject about one u32 in four
-@example((7, np.full((6, 3), 3 * 2**30), [1, 2]))
-def test_block_decoder_matches_generator_calls(case):
-    seed, hi, cuts = case
-    rng = np.random.default_rng(seed)
-    want_j, want_u = np.zeros(hi.shape, dtype=np.int64), np.empty(hi.shape)
-    for r, row in enumerate(hi.tolist()):
-        for i, limit in enumerate(row):
-            want_j[r, i] = rng.integers(0, limit + 1) if limit else 0
-            want_u[r, i] = rng.random()
-    stream = _DrawStream(np.random.default_rng(seed).bit_generator)
-    got_j, got_u, start = [], [], 0
-    for cut in itertools.cycle(cuts):
-        if start == hi.shape[0]:
-            break
-        j, u = stream.draw(hi[start : start + cut])
-        got_j.append(j)
-        got_u.append(u)
-        start += j.shape[0]
-    assert np.array_equal(np.concatenate(got_j), want_j)
-    assert np.concatenate(got_u).tolist() == want_u.tolist()
-
-
 def _replayed_search(problem: GridProblem, params: ScheduleParams):
-    """The search as run_round after run_round on one generator; returns the
-    outcome and the paths the global oracle was asked about, in order."""
+    """The search as one scalar round after another on its two generators;
+    returns the outcome and the paths the global oracle was asked about,
+    in order."""
     lam, max_rounds = params.resolve(problem)
-    rng = np.random.default_rng(params.seed)
+    draws, measures = _streams(params.seed)
     ledger, m, asked = QueryLedger.zero(problem.k), 1.0, []
     for r in range(1, max_rounds + 1):
-        res = run_round(problem, m, rng, strict_paper=params.strict_paper)
+        path, iterations = _replayed_round(problem, m, draws, measures, params.strict_paper)
         ledger.grover_iterations_per_bucket = [
-            a + b for a, b in zip(ledger.grover_iterations_per_bucket, res.iterations)
+            a + b for a, b in zip(ledger.grover_iterations_per_bucket, iterations)
         ]
         ledger.global_oracle_calls += 1
         ledger.rounds += 1
-        asked.append(res.path)
-        if res.accepted:
-            return SearchOutcome(True, res.path, r, ledger), asked
+        asked.append(path)
+        if problem.global_oracle(path):
+            return SearchOutcome(True, path, r, ledger), asked
         m *= lam
     return SearchOutcome(False, None, max_rounds, ledger), asked
 
@@ -388,3 +372,19 @@ def test_bisect_inner_searches_match_round_replay(monkeypatch):
     for seed in range(3):
         run_bisect(family, family.cost_of, 0.0, 1.2, 8, ScheduleParams(seed=seed))
     assert len(seen) >= 24
+
+
+@pytest.mark.parametrize("first, cap", [(1, 1), (3, 7)])
+def test_outcomes_do_not_depend_on_the_block_size(monkeypatch, first, cap):
+    cases = [
+        (GridProblem.product(_buckets((40, 9, 25, 16), (3, 1, 2, 16))), {}),
+        (GridProblem.product(_buckets((64, 32), (0, 1))), {"max_rounds": 45}),
+        (GridProblem.product(_buckets((64, 64, 64), (1, 1, 1))), {"strict_paper": True}),
+        # draws up to 2**26 hit Lemire rejections
+        (GridProblem.product([MarkedSet.from_indices(2**52 + 12345, [2**50])]), {"lam": 1.3}),
+    ]
+    runs = [(problem, ScheduleParams(seed=seed, **extra)) for problem, extra in cases for seed in range(8)]
+    want = [run_grid_search(*run) for run in runs]
+    monkeypatch.setattr(search, "_FIRST_BLOCK", first)
+    monkeypatch.setattr(search, "_MAX_BLOCK", cap)
+    assert [run_grid_search(*run) for run in runs] == want
