@@ -43,7 +43,6 @@ from .grover import (
     invert_about_mean,
     measure,
     measure_closed_form,
-    measure_closed_form_many,
     success_probability,
     uniform_init,
 )

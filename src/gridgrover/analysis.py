@@ -34,9 +34,9 @@ from .search import (
     GridProblem,
     ScheduleParams,
     SearchOutcome,
+    _draw_round,
     derive_seed,
     run_grid_search,
-    run_round,
     trial_rng,
 )
 
@@ -192,11 +192,14 @@ def _over_trials(worker: Callable, args: tuple, trials: int, jobs: int) -> list:
 
 
 def _lemma_hits(problem: GridProblem, m_values: list[int], seed: int, lo: int, hi: int) -> list[int]:
-    """Accepted single rounds per m over trials lo..hi-1."""
-    return [
-        sum(run_round(problem, float(m), trial_rng(seed, row, t)).accepted for t in range(lo, hi))
-        for row, m in enumerate(m_values)
-    ]
+    """Accepted single rounds per m over trials lo..hi-1: each trial draws
+    its path as :func:`~gridgrover.search.run_round` would, and each m's
+    paths are judged with one global-oracle call."""
+    hits = []
+    for row, m in enumerate(m_values):
+        paths = [_draw_round(problem, float(m), trial_rng(seed, row, t))[0] for t in range(lo, hi)]
+        hits.append(int(problem.global_oracle(np.array(paths, dtype=np.int64)).sum()))
+    return hits
 
 
 def empirical_vs_closed_form(

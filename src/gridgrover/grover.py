@@ -11,10 +11,10 @@ the statevector path handles the degenerate marked counts exactly.
 :func:`measure_closed_form` samples the same measurement distribution
 without building the register, one draw at a time as a single round
 (:func:`~gridgrover.search.run_round`) needs it;
-:func:`measure_closed_form_many`, its array form and bit for bit the
-same, samples a whole block of rounds of
-:func:`~gridgrover.search.run_grid_search`.  The statevector maps stay
-as the reference both are tested against.
+:func:`measure_closed_form_grid`, its array form and bit for bit the
+same, samples all buckets of a block of rounds of
+:func:`~gridgrover.search.run_grid_search` in one call.  The
+statevector maps stay as the reference both are tested against.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import functools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,7 +41,8 @@ __all__ = [
     "success_probability",
     "measure",
     "measure_closed_form",
-    "measure_closed_form_many",
+    "ClosedFormTables",
+    "measure_closed_form_grid",
 ]
 
 # Componentwise tolerance for statevector-vs-analytic agreement, and the
@@ -201,6 +202,16 @@ def measure(register: Register, rng: np.random.Generator, shots: int | None = No
     return int(idx) if shots is None else idx
 
 
+@functools.lru_cache(maxsize=4096)
+def _class_probabilities(count: int, n: int, times: int) -> tuple[float, float]:
+    """Probability of each marked and of each unmarked index after ``times``
+    iterations (uniform 1/n when ``count`` is 0 or n)."""
+    if 0 < count < n:
+        phase = (2 * times + 1) * math.asin(math.sqrt(count / n))
+        return math.sin(phase) ** 2 / count, math.cos(phase) ** 2 / (n - count)
+    return 1.0 / n, 1.0 / n
+
+
 def measure_closed_form(marks: Sequence[int], n: int, times: int, u: float) -> int:
     """Index that ``measure(grover_iterate(uniform_init(n), marked, times))``
     returns for the uniform draw ``u``, without building the register.
@@ -213,12 +224,7 @@ def measure_closed_form(marks: Sequence[int], n: int, times: int, u: float) -> i
     ``u`` and a division finds the index inside it, in O(log M).
     """
     count = len(marks)
-    if 0 < count < n:
-        phase = (2 * times + 1) * math.asin(math.sqrt(count / n))
-        p_marked = math.sin(phase) ** 2 / count
-        p_unmarked = math.cos(phase) ** 2 / (n - count)
-    else:
-        p_marked = p_unmarked = 1.0 / n
+    p_marked, p_unmarked = _class_probabilities(count, n, times)
 
     def cdf_through(t: int) -> float:
         # CDF up to and including the t-th mark
@@ -232,46 +238,61 @@ def measure_closed_form(marks: Sequence[int], n: int, times: int, u: float) -> i
     return min(start + int((u - mass) / p_unmarked), last)
 
 
-@functools.lru_cache(maxsize=4096)
-def _class_probabilities(count: int, n: int, times: int) -> tuple[float, float]:
-    """(p_marked, p_unmarked) as :func:`measure_closed_form` computes them."""
-    if 0 < count < n:
-        phase = (2 * times + 1) * math.asin(math.sqrt(count / n))
-        return math.sin(phase) ** 2 / count, math.cos(phase) ** 2 / (n - count)
-    return 1.0 / n, 1.0 / n
+class ClosedFormTables(NamedTuple):
+    """Sorted marks of k buckets as :func:`measure_closed_form_grid` reads
+    them: row i of ``before`` is ``[-1, marks_i...]`` and of ``after``
+    ``[marks_i..., n_i - 1]``, padded to the longest row."""
+
+    before: np.ndarray
+    after: np.ndarray
+    count: np.ndarray
+    size: tuple[int, ...]
+
+    @classmethod
+    def from_marks(cls, marks: Sequence[Sequence[int]], sizes: Sequence[int]) -> "ClosedFormTables":
+        count = np.array([len(m) for m in marks], dtype=np.int64)
+        before = np.full((count.size, int(count.max()) + 1), -1, dtype=np.int64)
+        after = before.copy()
+        for i, (m, n) in enumerate(zip(marks, sizes)):
+            before[i, 1 : len(m) + 1] = after[i, : len(m)] = m
+            after[i, len(m)] = n - 1
+        return cls(before, after, count, tuple(int(n) for n in sizes))
 
 
-def measure_closed_form_many(
-    marks: np.ndarray, n: int, times: np.ndarray, u: np.ndarray
+def measure_closed_form_grid(
+    tables: ClosedFormTables, times: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
-    """:func:`measure_closed_form` for every pair ``(times[r], u[r])``, bit
-    for bit: the same float operations, run over arrays.
+    """:func:`measure_closed_form` for every row r and bucket i of the
+    ``(B, k)`` arrays ``times`` and ``u``, bit for bit: the same float
+    operations, run over arrays.
 
-    The class probabilities come from ``math`` once per distinct iteration
-    count (``np.sin`` need not match libm to the last bit), the binary
-    search over the marks makes ``bisect_right``'s probes for all draws in
-    step, and the offset inside an unmarked run is clamped to the run
-    before the cast to int (p_unmarked can be as small as 1e-33).
+    The class probabilities come from ``math`` once per distinct (bucket,
+    iteration count) (``np.sin`` need not match libm to the last bit), the
+    binary search over the marks makes ``bisect_right``'s probes for all
+    k*B draws in step, and the offset inside an unmarked run is clamped
+    to the run before the cast to int (p_unmarked can be 1e-33).
     """
-    marks = np.asarray(marks, dtype=np.int64)
-    count = marks.size
-    levels, level_of = np.unique(times, return_inverse=True)
-    probs = np.array([_class_probabilities(count, n, j) for j in levels.tolist()])
-    p_marked, p_unmarked = probs[level_of, 0], probs[level_of, 1]
-    # before[b] is the b-th mark (-1 for none), so the CDF up to and
-    # including it is cdf(b); after[b] ends the run that follows it
-    before = np.concatenate(([-1], marks))
-    after = np.concatenate((marks, [n - 1]))
+    k = tables.count.size
+    keys = times * k + np.arange(k)
+    levels, level_of = np.unique(keys.ravel(), return_inverse=True)
+    counts = tables.count.tolist()
+    probs = np.array([
+        _class_probabilities(counts[i], tables.size[i], j)
+        for j, i in zip(*(a.tolist() for a in np.divmod(levels, k)))
+    ])[level_of.reshape(keys.shape)]
+    p_marked, p_unmarked = probs[..., 0], probs[..., 1]
+    bucket = np.arange(k)
 
     def cdf(b: np.ndarray) -> np.ndarray:
-        return b * p_marked + (before[b] - (b - 1)) * p_unmarked
+        # CDF up to and including the b-th mark, as cdf_through(b - 1)
+        return b * p_marked + (tables.before[bucket, b] - (b - 1)) * p_unmarked
 
-    lo, hi = np.zeros(u.shape, dtype=np.int64), np.full(u.shape, count)
+    lo, hi = np.zeros(keys.shape, dtype=np.int64), np.broadcast_to(tables.count, keys.shape)
     while (open_ := lo < hi).any():
         mid = (lo + hi) // 2
-        left = u < cdf(np.minimum(mid + 1, count))
+        left = u < cdf(np.minimum(mid + 1, tables.count))
         lo = np.where(open_ & ~left, mid + 1, lo)
         hi = np.where(open_ & left, mid, hi)
-    start = before[lo] + 1
-    steps = np.minimum((u - cdf(lo)) / p_unmarked, after[lo] - start)
+    start = tables.before[bucket, lo] + 1
+    steps = np.minimum((u - cdf(lo)) / p_unmarked, tables.after[bucket, lo] - start)
     return start + steps.astype(np.int64)

@@ -3,7 +3,8 @@
 A problem is one marked set per bucket plus a classical global oracle.
 Each round draws an iteration count j per bucket and measures the
 register that j Grover iterations from uniform would hold; the global
-oracle then accepts or rejects the assembled index tuple.  The
+oracle, a batch predicate over a ``(B, k)`` int64 array of paths, one
+per row, accepts or rejects the assembled index tuples.  The
 measurement is sampled from its closed form
 (:func:`~gridgrover.grover.measure_closed_form`): after j iterations the
 marked indices share one probability and the unmarked ones another, so
@@ -18,15 +19,16 @@ exceeds ``sqrt(n_i)`` the draw for bucket ``i`` is capped at
 overshooting; ``strict_paper=True`` switches to the conservative variant
 that leaves such buckets uniform (``j_i = 0``).
 
-:func:`run_round` plays one round with scalar calls on one ``Generator``;
-the lemma sweep samples single rounds with it.  :func:`run_grid_search`
-plays blocks of rounds at once: every iteration count of a block comes
-from one vectorised ``integers`` call on a generator seeded with
+:func:`run_round` plays one round with scalar calls on one ``Generator``
+and judges its path as a batch of one.  :func:`run_grid_search` plays
+blocks of rounds at once: every iteration count of a block comes from
+one vectorised ``integers`` call on a generator seeded with
 ``params.seed``, every measurement uniform from one ``random`` call on a
-second generator jumped ahead of the first.  Each stream is consumed as
-the same calls made round by round would consume it, so an outcome does
-not depend on how rounds are cut into blocks.  The global oracle is
-still called once per round, in order, up to the first accept.
+second generator jumped ahead of the first, so an outcome does not
+depend on how rounds are cut into blocks.  One call to
+:func:`~gridgrover.grover.measure_closed_form_grid` measures all k
+buckets of a block and one global-oracle call judges its paths; the
+ledger charges one query per round up to the first accept.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .grover import MarkedSet, measure_closed_form, measure_closed_form_many
+from .grover import ClosedFormTables, MarkedSet, measure_closed_form, measure_closed_form_grid
 # Unused here: the traced replay in perfbench/tracing.py patches these
 # three names on this module.
 from .grover import apply_oracle, invert_about_mean, uniform_init  # noqa: F401
@@ -101,8 +103,12 @@ def derive_seed(seed: int, *path: int) -> int:
 MAX_BUCKET_SIZE = 2**53
 
 
-def _in_every_set(marks: tuple[frozenset[int], ...], path: tuple[int, ...]) -> bool:
-    return len(path) == len(marks) and all(map(frozenset.__contains__, marks, path))
+def _in_every_bucket(marks: tuple[np.ndarray, ...], paths: np.ndarray) -> np.ndarray:
+    """Rows of ``paths`` whose every coordinate is marked in its bucket;
+    each ``marks`` array is sorted and ends in a sentinel above any index."""
+    if paths.ndim != 2 or paths.shape[1] != len(marks):
+        raise ValueError(f"paths of shape {paths.shape} need {len(marks)} columns")
+    return np.logical_and.reduce([m[np.searchsorted(m, c)] == c for c, m in zip(paths.T, marks)])
 
 
 @dataclass
@@ -110,15 +116,16 @@ class GridProblem:
     """Product search space: one marked set per bucket plus a global oracle.
 
     The marked sets drive each bucket's amplification; the global oracle
-    judges the assembled tuple.  In product mode it is exactly the
-    conjunction of the marked sets; cost-driven problems supply a
-    stricter global oracle and the marked sets only over-approximate it.
+    maps a ``(B, k)`` int64 array of assembled paths to B booleans and
+    must pickle.  In product mode it is exactly the conjunction of the
+    marked sets; cost-driven problems supply a stricter global oracle and
+    the marked sets only over-approximate it.
     """
 
     marked: Sequence[MarkedSet]
-    global_oracle: Callable[[tuple[int, ...]], bool]
+    global_oracle: Callable[[np.ndarray], np.ndarray]
     _sorted_marks: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _mark_arrays: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    _tables: ClosedFormTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.marked = tuple(self.marked)
@@ -130,7 +137,7 @@ class GridProblem:
                     f"bucket size {ms.size} exceeds the limit 2**53 = {MAX_BUCKET_SIZE}"
                 )
         self._sorted_marks = tuple(tuple(sorted(ms.marked)) for ms in self.marked)
-        self._mark_arrays = tuple(np.array(m, dtype=np.int64) for m in self._sorted_marks)
+        self._tables = ClosedFormTables.from_marks(self._sorted_marks, self.sizes)
 
     @property
     def k(self) -> int:
@@ -144,8 +151,9 @@ class GridProblem:
     def product(cls, marked_sets: Sequence[MarkedSet]) -> "GridProblem":
         """Build a product-mode problem straight from marked sets."""
         sets = tuple(marked_sets)
-        marks = tuple(ms.marked for ms in sets)
-        return cls(marked=sets, global_oracle=functools.partial(_in_every_set, marks))
+        end = np.iinfo(np.int64).max
+        marks = tuple(np.array([*sorted(ms.marked), end], dtype=np.int64) for ms in sets)
+        return cls(marked=sets, global_oracle=functools.partial(_in_every_bucket, marks))
 
     def marked_sets(self) -> list[MarkedSet]:
         return list(self.marked)
@@ -234,8 +242,17 @@ def run_round(
     For each bucket: draw j uniformly from {0, ..., ceil(m-1)} (capped
     at ceil(sqrt(n_i)) once m > sqrt(n_i), or forced to 0 under
     ``strict_paper``), then measure the register j Grover iterations
-    from uniform would hold, sampled from its closed form.
+    from uniform would hold, sampled from its closed form; judge the
+    path as a one-row batch.
     """
+    path, draws = _draw_round(problem, m, rng, strict_paper)
+    return RoundResult(path, draws, bool(problem.global_oracle(np.array([path], dtype=np.int64))[0]))
+
+
+def _draw_round(
+    problem: GridProblem, m: float, rng: np.random.Generator, strict_paper: bool = False
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The (path, iterations) of one :func:`run_round`, without the verdict."""
     if m < 1.0:
         raise ValueError("iteration budget m must be >= 1")
     draws: list[int] = []
@@ -249,8 +266,7 @@ def run_round(
         j = int(rng.integers(0, hi + 1)) if hi > 0 else 0
         outcome.append(measure_closed_form(marks, n, j, rng.random()))
         draws.append(j)
-    path = tuple(outcome)
-    return RoundResult(path=path, iterations=tuple(draws), accepted=bool(problem.global_oracle(path)))
+    return tuple(outcome), tuple(draws)
 
 
 @dataclass(frozen=True)
@@ -286,17 +302,16 @@ def run_grid_search(problem: GridProblem, params: ScheduleParams) -> SearchOutco
     ``default_rng(params.seed)``, round by round and bucket by bucket
     (none where hi is 0); the measurement uniforms are ``random()`` draws
     on a ``Generator`` over that bit generator's ``jumped()`` copy.
-    Rounds are drawn in blocks; the global oracle still sees one call per
-    round, in round order, and none after the first accept.
+    Rounds are drawn in blocks and each block is judged with one
+    global-oracle call; the ledger charges one query per round up to and
+    including the first accepted one, the paper's query count.
     """
     lam, max_rounds = params.resolve(problem)
     draws = np.random.default_rng(params.seed)
     measures = np.random.Generator(draws.bit_generator.jumped())
-    oracle = problem.global_oracle
-    sizes = problem.sizes
-    roots = np.array([math.sqrt(n) for n in sizes])
+    roots = np.array([math.sqrt(n) for n in problem.sizes])
     caps = np.array([0 if params.strict_paper else math.ceil(r) for r in roots.tolist()])
-    ledger = QueryLedger.zero(problem.k)
+    spent, path = np.zeros(problem.k, dtype=np.int64), None
     m, done, block = 1.0, 0, _FIRST_BLOCK
     while done < max_rounds:
         count = min(block, max_rounds - done)
@@ -306,43 +321,41 @@ def run_grid_search(problem: GridProblem, params: ScheduleParams) -> SearchOutco
         below_cap = np.ceil(np.minimum(column, roots) - 1.0).astype(np.int64)
         hi = np.where(column > roots, caps, below_cap)
         j, u = draws.integers(0, hi + 1), measures.random(hi.shape)
-        paths = np.column_stack([
-            measure_closed_form_many(marks, n, j[:, i], u[:, i])
-            for i, (marks, n) in enumerate(zip(problem._mark_arrays, sizes))
-        ])
-        for r, path in enumerate(map(tuple, paths.tolist())):
-            if oracle(path):
-                _charge(ledger, j[: r + 1])
-                return SearchOutcome(True, path, done + r + 1, ledger)
-        _charge(ledger, j)
-        done += count
+        paths = measure_closed_form_grid(problem._tables, j, u)
+        accepted = np.flatnonzero(problem.global_oracle(paths))
+        # one query per round, up to and including the first accepted one
+        used = int(accepted[0]) + 1 if accepted.size else count
+        spent += j[:used].sum(axis=0)
+        done += used
+        if accepted.size:
+            path = tuple(paths[used - 1].tolist())
+            break
         m = budgets[-1] * lam
         block = min(2 * block, _MAX_BLOCK)
-    return SearchOutcome(False, None, max_rounds, ledger)
+    ledger = QueryLedger(spent.tolist(), global_oracle_calls=done, rounds=done)
+    return SearchOutcome(path is not None, path, done, ledger)
 
 
-def _charge(ledger: QueryLedger, draws: np.ndarray) -> None:
-    """Add rounds, one global oracle call each, and their iterations."""
-    spent = draws.sum(axis=0).tolist()
-    ledger.grover_iterations_per_bucket = [
-        a + b for a, b in zip(ledger.grover_iterations_per_bucket, spent)
-    ]
-    ledger.global_oracle_calls += draws.shape[0]
-    ledger.rounds += draws.shape[0]
+# Paths the exhaustive scan judges per oracle call.
+_SCAN_CHUNK = 1 << 16
 
 
 def exhaustive_search(problem: GridProblem, cap: int = 10_000_000) -> SearchOutcome:
     """Deterministic classical baseline: scan the product space in
-    lexicographic order, one global-oracle call per tuple, stop at the
-    first accept.  Worst case visits every tuple (the Theta(prod n_i)
-    cost the amplified search is measured against)."""
-    space = math.prod(problem.sizes)
+    lexicographic order, in chunks of tuples per oracle call, and stop at
+    the first accept, charging one query per tuple scanned.  Worst case
+    visits every tuple (the Theta(prod n_i) cost the amplified search is
+    measured against)."""
+    sizes = problem.sizes
+    space = math.prod(sizes)
     if space > cap:
         raise ValueError(f"search space {space} exceeds enumeration cap {cap}")
-    ledger = QueryLedger.zero(problem.k)
-    ledger.rounds = 1
-    for path in itertools.product(*(range(n) for n in problem.sizes)):
-        ledger.global_oracle_calls += 1
-        if problem.global_oracle(path):
-            return SearchOutcome(True, path, 1, ledger)
+    ledger = QueryLedger([0] * problem.k, global_oracle_calls=space, rounds=1)
+    for first in range(0, space, _SCAN_CHUNK):
+        rows = np.arange(first, min(first + _SCAN_CHUNK, space))
+        paths = np.column_stack(np.unravel_index(rows, sizes))
+        accepted = np.flatnonzero(problem.global_oracle(paths))
+        if accepted.size:
+            ledger.global_oracle_calls = first + int(accepted[0]) + 1
+            return SearchOutcome(True, tuple(paths[accepted[0]].tolist()), 1, ledger)
     return SearchOutcome(False, None, 1, ledger)

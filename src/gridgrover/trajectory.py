@@ -452,9 +452,10 @@ class CostTable:
         return self._project(self.solution_mask(a, b))
 
     def _project(self, mask: np.ndarray) -> list[MarkedSet]:
-        hits = self.paths[mask]
+        grid = mask.reshape(self.sizes)
+        axes = range(grid.ndim)
         return [
-            MarkedSet.from_indices(n, np.unique(hits[:, i]) if hits.size else ())
+            MarkedSet.from_indices(n, np.flatnonzero(grid.any(axis=tuple(a for a in axes if a != i))))
             for i, n in enumerate(self.sizes)
         ]
 
@@ -506,9 +507,7 @@ def cross_path_rate(query: SolutionSetQuery) -> float:
     """
     table = query.table()
     marked = table.marked_sets(query.lower, query.upper)
-    in_product = np.ones(table.paths.shape[0], dtype=bool)
-    for i, ms in enumerate(marked):
-        in_product &= ms.indicator()[table.paths[:, i]]
+    in_product = GridProblem.product(marked).global_oracle(table.paths)
     count = int(in_product.sum())
     if count == 0:
         return 0.0
@@ -523,14 +522,21 @@ def brute_force_minimum(
     return CostTable.build(grid.sizes, cost, cap=cap).minimum()
 
 
+def _in_window(mask: np.ndarray, sizes: tuple[int, ...], paths: np.ndarray) -> np.ndarray:
+    """``mask`` at each row of ``paths``; ValueError for rows of the wrong
+    length or with a coordinate outside its bucket."""
+    return mask[np.ravel_multi_index(paths.T, sizes)]
+
+
 @dataclass
 class RangeProblemFamily:
     """Builds the (a, b) range-search problem for any bracket on demand.
 
     Costs are tabulated once; each bracket's problem is the table's
     per-column projection of the window (its marked sets) plus a global
-    oracle that reads the window's mask of tabulated costs, so repeated
-    brackets over the same space stay cheap and consistent.
+    oracle that reads the window's mask of tabulated costs at every row
+    of a batch of paths, so repeated brackets over the same space stay
+    cheap and consistent.
     """
 
     table: CostTable
@@ -543,10 +549,7 @@ class RangeProblemFamily:
 
     def __call__(self, a: float, b: float) -> GridProblem:
         mask = self.table.solution_mask(a, b)
-
-        def oracle(path: tuple[int, ...], _index=self.table._flat_index, _mask=mask) -> bool:
-            return bool(_mask[_index(path)])
-
+        oracle = functools.partial(_in_window, mask, self.table.sizes)
         return GridProblem(marked=self.table._project(mask), global_oracle=oracle)
 
     def cost_of(self, path: Sequence[int]) -> float:

@@ -16,10 +16,10 @@ from gridgrover import (
     invert_about_mean,
     measure,
     measure_closed_form,
-    measure_closed_form_many,
     success_probability,
     uniform_init,
 )
+from gridgrover.grover import ClosedFormTables, measure_closed_form_grid
 
 
 def test_uniform_init_amplitudes():
@@ -164,26 +164,45 @@ def test_closed_form_sampler_inverts_statevector_cdf(case):
 
 
 @st.composite
-def sampler_blocks(draw):
-    n = draw(st.one_of(st.integers(1, 64), st.integers(1, 2**53)))
-    count = draw(st.integers(0, min(n, 12)))
-    if count == n:
-        marks = list(range(n))
-    else:
-        marks = sorted(draw(st.sets(st.integers(0, n - 1), min_size=count, max_size=count)))
-    size = draw(st.integers(1, 24))
-    times = draw(st.lists(st.integers(0, 300), min_size=size, max_size=size))
-    u = draw(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=size, max_size=size))
-    return n, marks, times, u
+def sampler_grids(draw):
+    """Ragged buckets (mark counts 0 to n, sizes up to 2**53) and a block
+    of (times, u) rows, one column per bucket."""
+    k = draw(st.integers(1, 4))
+    buckets = []
+    for _ in range(k):
+        n = draw(st.one_of(st.integers(1, 64), st.integers(1, 2**53)))
+        count = draw(st.integers(0, min(n, 12)))
+        if count == n:
+            marks = list(range(n))
+        else:
+            marks = sorted(draw(st.sets(st.integers(0, n - 1), min_size=count, max_size=count)))
+        buckets.append((n, marks))
+    rows = draw(st.integers(1, 24))
+    times = draw(st.lists(st.lists(st.integers(0, 300), min_size=k, max_size=k), min_size=rows, max_size=rows))
+    u = draw(st.lists(
+        st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=k, max_size=k),
+        min_size=rows,
+        max_size=rows,
+    ))
+    return buckets, times, u
 
 
 @settings(max_examples=300, deadline=None)
-@given(sampler_blocks())
+@given(sampler_grids())
 # phase pi/2: p_unmarked is about 1e-33, so the offset inside a run
 # overflows int64 unless it is clamped first
-@example((8, [2, 5], [1, 1, 1, 0], [0.9, 0.3, 0.999, 0.5]))
+@example(([(8, [2, 5])], [[1], [1], [1], [0]], [[0.9], [0.3], [0.999], [0.5]]))
+@example((
+    [(8, [2, 5]), (5, []), (4, [0, 1, 2, 3]), (2**53, [0, 2**52, 2**53 - 1])],
+    [[1, 0, 2, 7], [1, 3, 0, 300]],
+    [[0.999, 0.2, 0.7, 0.5], [0.3, 0.99, 0.1, 0.9999]],
+))
 def test_array_sampler_matches_scalar_bit_for_bit(case):
-    n, marks, times, u = case
-    got = measure_closed_form_many(np.array(marks), n, np.array(times), np.array(u))
-    want = [measure_closed_form(marks, n, t, x) for t, x in zip(times, u)]
+    buckets, times, u = case
+    tables = ClosedFormTables.from_marks([m for _, m in buckets], [n for n, _ in buckets])
+    got = measure_closed_form_grid(tables, np.array(times, dtype=np.int64), np.array(u))
+    want = [
+        [measure_closed_form(m, n, t, x) for (n, m), t, x in zip(buckets, row_t, row_u)]
+        for row_t, row_u in zip(times, u)
+    ]
     assert got.tolist() == want

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 import time
 import tracemalloc
@@ -108,6 +109,11 @@ def _replayed_round(problem: GridProblem, m: float, draws, measures, strict_pape
     return tuple(path), tuple(iterations)
 
 
+def _judge(problem: GridProblem, path: tuple[int, ...]) -> bool:
+    """The global oracle's verdict on one path, as a one-row batch."""
+    return bool(problem.global_oracle(np.array([path], dtype=np.int64))[0])
+
+
 def test_ledger_matches_replayed_rounds():
     prob = GridProblem.product(
         [MarkedSet.from_indices(16, [4]), MarkedSet.from_indices(8, [1, 2])]
@@ -124,7 +130,7 @@ def test_ledger_matches_replayed_rounds():
         path, iterations = _replayed_round(prob, m, draws, measures, False)
         iters = [a + b for a, b in zip(iters, iterations)]
         calls += 1
-        if prob.global_oracle(path):
+        if _judge(prob, path):
             assert path == out.path
             break
         m *= lam
@@ -202,8 +208,59 @@ def test_cost_mode_problem_rejects_cross_paths():
     sets = prob.marked_sets()
     assert sorted(sets[0].marked) == [2, 3]
     assert sorted(sets[1].marked) == [2, 3]
-    assert prob.global_oracle((2, 3))
-    assert not prob.global_oracle((2, 2))  # sum 4: in the product, not a solution
+    # sum 4: in the product, not a solution
+    assert prob.global_oracle(np.array([[2, 3], [2, 2]])).tolist() == [True, False]
+
+
+@pytest.mark.parametrize(
+    "sizes, marks",
+    [
+        ((5,), ([0, 4],)),
+        ((6, 9, 4), ([1, 5], [0, 3, 8], [2])),
+        ((2**40, 7), ([0, 2**38 + 1, 2**40 - 1], [6])),
+        ((8, 8), ([3], [])),  # an empty bucket rejects every row
+        ((3, 3), ([0, 1, 2], [1])),
+    ],
+)
+def test_product_oracle_matches_set_membership(sizes, marks):
+    problem = GridProblem.product([MarkedSet.from_indices(n, m) for n, m in zip(sizes, marks)])
+    rng = np.random.default_rng(len(sizes))
+    # probe each bucket at its marks, their neighbours and uniform draws,
+    # with every other coordinate on a mark, then add uniform rows
+    base = [m[0] if m else 0 for m in marks]
+    rows = []
+    for i, (n, m) in enumerate(zip(sizes, marks)):
+        probes = {x + d for x in m for d in (-1, 0, 1)} | set(rng.integers(0, n, size=20).tolist())
+        rows += [[*base[:i], x, *base[i + 1 :]] for x in sorted(probes) if 0 <= x < n]
+    rows += np.column_stack([rng.integers(0, n, size=40) for n in sizes]).tolist()
+    paths = np.array(rows, dtype=np.int64)
+    sets = [frozenset(m) for m in marks]
+    want = [all(x in s for x, s in zip(row, sets)) for row in rows]
+    assert problem.global_oracle(paths).tolist() == want
+    assert any(want) == all(marks)
+    with pytest.raises(ValueError):
+        problem.global_oracle(paths[:, :-1])
+
+
+def _scan_ledger(problem: GridProblem):
+    """Path and oracle queries of a lexicographic scan, one row at a time."""
+    for calls, path in enumerate(itertools.product(*(range(n) for n in problem.sizes)), 1):
+        if _judge(problem, path):
+            return path, calls
+    return None, math.prod(problem.sizes)
+
+
+@pytest.mark.parametrize(
+    "marks, first_accept",
+    [(([1], [2]), 6), (([1], [3]), 7), (([2], [0, 3]), 8), (([1, 2], []), None)],
+)
+def test_exhaustive_search_chunks_keep_the_scan_ledger(monkeypatch, marks, first_accept):
+    problem = GridProblem.product([MarkedSet.from_indices(n, m) for n, m in zip((3, 4), marks)])
+    path, calls = _scan_ledger(problem)
+    monkeypatch.setattr(search, "_SCAN_CHUNK", 7)
+    out = exhaustive_search(problem)
+    assert calls == (12 if first_accept is None else first_accept + 1)
+    assert out == SearchOutcome(path is not None, path, 1, QueryLedger([0, 0], calls, 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -289,7 +346,7 @@ def _replayed_search(problem: GridProblem, params: ScheduleParams):
         ledger.global_oracle_calls += 1
         ledger.rounds += 1
         asked.append(path)
-        if problem.global_oracle(path):
+        if _judge(problem, path):
             return SearchOutcome(True, path, r, ledger), asked
         m *= lam
     return SearchOutcome(False, None, max_rounds, ledger), asked
@@ -298,14 +355,16 @@ def _replayed_search(problem: GridProblem, params: ScheduleParams):
 def _assert_matches_replay(problem: GridProblem, params: ScheduleParams) -> SearchOutcome:
     asked = []
 
-    def logged(path, _accept=problem.global_oracle):
-        asked.append(path)
-        return _accept(path)
+    def logged(paths, _accept=problem.global_oracle):
+        asked.extend(map(tuple, paths.tolist()))
+        return _accept(paths)
 
     got = run_grid_search(GridProblem(marked=problem.marked, global_oracle=logged), params)
     want, want_asked = _replayed_search(problem, params)
     assert got == want
-    assert asked == want_asked
+    # a block is judged whole: rows after the first accept are seen, not charged
+    assert asked[: len(want_asked)] == want_asked
+    assert got.success or len(asked) == len(want_asked)
     return got
 
 

@@ -352,10 +352,28 @@ def test_range_problem_family_consistency():
     fam = RangeProblemFamily.from_cost((4, 4), IndexSumCost(sizes=(4, 4)))
     prob = fam(4.5, 6.5)  # sums 5 and 6
     assert [sorted(s.marked) for s in prob.marked_sets()] == [[2, 3], [2, 3]]
-    assert prob.global_oracle((2, 3))
-    assert prob.global_oracle((3, 3))
-    assert not prob.global_oracle((2, 2))  # sum 4: inside the product, outside the window
+    # sum 4: inside the product, outside the window
+    assert prob.global_oracle(np.array([[2, 3], [3, 3], [2, 2]])).tolist() == [True, True, False]
     assert fam.cost_of((3, 2)) == 5.0
+
+
+@pytest.mark.parametrize("sizes", [(7,), (4, 3, 5), (2, 6)])
+def test_range_oracle_reads_the_solution_mask(sizes):
+    table = CostTable.build(sizes, IndexSumCost(sizes=sizes))
+    fam = RangeProblemFamily(table)
+    for a, b in [(0.5, 3.5), (-1.0, 0.5), (2.0, 2.5), (-1.0, 99.0)]:
+        oracle = fam(a, b).global_oracle
+        # every path, in table order and reversed
+        assert oracle(table.paths).tolist() == table.solution_mask(a, b).tolist()
+        assert oracle(table.paths[::-1]).tolist() == table.solution_mask(a, b)[::-1].tolist()
+    bad_rows = [
+        np.zeros((2, len(sizes) + 1), dtype=np.int64),  # one coordinate too many
+        np.array([[n - 1 for n in sizes], [*[0] * (len(sizes) - 1), sizes[-1]]]),  # out of range
+        np.array([[*[0] * (len(sizes) - 1), -1]]),  # negative
+    ]
+    for paths in bad_rows:
+        with pytest.raises(ValueError):
+            oracle(paths)
 
 
 def test_brute_force_minimum_matches_table_scan():
