@@ -29,6 +29,11 @@ depend on how rounds are cut into blocks.  One call to
 :func:`~gridgrover.grover.measure_closed_form_grid` measures all k
 buckets of a block and one global-oracle call judges its paths; the
 ledger charges one query per round up to the first accept.
+
+The marked sets over-approximate the global oracle, so a problem with a
+bucket that has no marks cannot succeed: :func:`run_grid_search` then
+draws only the iteration counts and :func:`exhaustive_search` charges
+its full scan without running it, and neither asks the oracle anything.
 """
 
 from __future__ import annotations
@@ -119,7 +124,9 @@ class GridProblem:
     maps a ``(B, k)`` int64 array of assembled paths to B booleans and
     must pickle.  In product mode it is exactly the conjunction of the
     marked sets; cost-driven problems supply a stricter global oracle and
-    the marked sets only over-approximate it.
+    the marked sets only over-approximate it.  The oracle must reject
+    every path when some bucket has no marks; the searches rely on it
+    and never ask the oracle about such a problem.
     """
 
     marked: Sequence[MarkedSet]
@@ -304,7 +311,10 @@ def run_grid_search(problem: GridProblem, params: ScheduleParams) -> SearchOutco
     on a ``Generator`` over that bit generator's ``jumped()`` copy.
     Rounds are drawn in blocks and each block is judged with one
     global-oracle call; the ledger charges one query per round up to and
-    including the first accepted one, the paper's query count.
+    including the first accepted one, the paper's query count.  When a
+    bucket has no marks no round can pass: the oracle is never asked, no
+    measurement is drawn, and the miss is charged ``max_rounds`` rounds
+    and queries with the iteration counts the rounds would have drawn.
     """
     lam, max_rounds = params.resolve(problem)
     draws = np.random.default_rng(params.seed)
@@ -312,7 +322,9 @@ def run_grid_search(problem: GridProblem, params: ScheduleParams) -> SearchOutco
     roots = np.array([math.sqrt(n) for n in problem.sizes])
     caps = np.array([0 if params.strict_paper else math.ceil(r) for r in roots.tolist()])
     spent, path = np.zeros(problem.k, dtype=np.int64), None
-    m, done, block = 1.0, 0, _FIRST_BLOCK
+    # a bucket without marks rejects every path: draw only the j
+    hopeless = bool(problem._tables.count.min() == 0)
+    m, done, block = 1.0, 0, _MAX_BLOCK if hopeless else _FIRST_BLOCK
     while done < max_rounds:
         count = min(block, max_rounds - done)
         # repeated m *= lam, as round by round: lam**r differs in the last bits
@@ -320,9 +332,10 @@ def run_grid_search(problem: GridProblem, params: ScheduleParams) -> SearchOutco
         column = np.array(budgets)[:, None]
         below_cap = np.ceil(np.minimum(column, roots) - 1.0).astype(np.int64)
         hi = np.where(column > roots, caps, below_cap)
-        j, u = draws.integers(0, hi + 1), measures.random(hi.shape)
-        paths = measure_closed_form_grid(problem._tables, j, u)
-        accepted = np.flatnonzero(problem.global_oracle(paths))
+        j, accepted = draws.integers(0, hi + 1), np.empty(0, dtype=np.intp)
+        if not hopeless:
+            paths = measure_closed_form_grid(problem._tables, j, measures.random(hi.shape))
+            accepted = np.flatnonzero(problem.global_oracle(paths))
         # one query per round, up to and including the first accepted one
         used = int(accepted[0]) + 1 if accepted.size else count
         spent += j[:used].sum(axis=0)
@@ -345,12 +358,15 @@ def exhaustive_search(problem: GridProblem, cap: int = 10_000_000) -> SearchOutc
     lexicographic order, in chunks of tuples per oracle call, and stop at
     the first accept, charging one query per tuple scanned.  Worst case
     visits every tuple (the Theta(prod n_i) cost the amplified search is
-    measured against)."""
+    measured against); a problem with a bucket without marks is charged
+    that full scan without asking the oracle."""
     sizes = problem.sizes
     space = math.prod(sizes)
     if space > cap:
         raise ValueError(f"search space {space} exceeds enumeration cap {cap}")
     ledger = QueryLedger([0] * problem.k, global_oracle_calls=space, rounds=1)
+    if problem._tables.count.min() == 0:  # a bucket without marks rejects every path
+        return SearchOutcome(False, None, 1, ledger)
     for first in range(0, space, _SCAN_CHUNK):
         rows = np.arange(first, min(first + _SCAN_CHUNK, space))
         paths = np.column_stack(np.unravel_index(rows, sizes))

@@ -1,0 +1,64 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "scripts" / "bench_record.py"
+_spec = importlib.util.spec_from_file_location("bench_record", _PATH)
+bench_record = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_record)
+
+
+def _run(seed, rate, rss, failed=0):
+    """A canned (final payload, stamps) pair as one ``--workload all`` run prints it."""
+    final = {
+        "correct": failed == 0,
+        "attempted": 100,
+        "failed": failed,
+        "metrics": {
+            "bisect-3x8/units_per_s": {"value": rate, "unit": "1/s"},
+            "board-3x16/peak_rss_mb": {"value": rss, "unit": "MB"},
+        },
+    }
+    stamps = [
+        {"workload": w, "git_sha": "abc", "python": "3.11.7", "numpy": "2.4.6", "nproc": 2,
+         "cpu_model": "cpu", "seed": seed, "seconds": 10, "trace": 0, "smoke": False}
+        for w in ("bisect-3x8", "board-3x16")
+    ]
+    return final, stamps
+
+
+def test_aggregate_takes_median_and_quartiles_per_metric():
+    rates = [100.0, 120.0, 90.0, 130.0, 110.0]
+    runs = [_run(seed, rate, 40.0 + seed) for seed, rate in enumerate(rates, 1)]
+    section = bench_record.aggregate(runs, 10)
+    assert section["stamp"] == {"git_sha": "abc", "python": "3.11.7", "numpy": "2.4.6", "nproc": 2,
+                                "cpu_model": "cpu", "seconds": 10, "trace": 0, "smoke": False}
+    assert (section["repeats"], section["seconds"], section["seeds"]) == (5, 10, [1, 2, 3, 4, 5])
+    assert section["correct"] and section["error_frac"] == 0.0
+    rate = section["metrics"]["bisect-3x8/units_per_s"]
+    # exclusive quartiles of 90, 100, 110, 120, 130: positions 1.5 and 4.5
+    assert (rate["median"], rate["q1"], rate["q3"], rate["iqr"]) == (110.0, 95.0, 125.0, 30.0)
+    assert rate["unit"] == "1/s" and rate["values"] == rates
+    assert section["metrics"]["board-3x16/peak_rss_mb"]["median"] == 43.0
+
+
+def test_aggregate_counts_failures_and_needs_two_runs():
+    section = bench_record.aggregate([_run(1, 1.0, 1.0), _run(2, 2.0, 1.0, failed=5)], 25)
+    assert not section["correct"]
+    assert section["error_frac"] == 5 / 200
+    with pytest.raises(ValueError):
+        bench_record.aggregate([_run(1, 1.0, 1.0)], 25)
+
+
+def test_sections_are_merged_into_the_bench_file(tmp_path, monkeypatch):
+    runs = iter([_run(1, 1.0, 2.0), _run(2, 3.0, 2.0), _run(1, 5.0, 2.0), _run(2, 7.0, 2.0)])
+    monkeypatch.setattr(bench_record, "run_once", lambda root, seed, seconds: next(runs))
+    out = tmp_path / "BENCH.json"
+    for section in ("parent", "change"):
+        assert bench_record.main(["--out", str(out), "--section", section, "--seeds", "2"]) == 0
+    report = json.loads(out.read_text())
+    assert list(report) == ["parent", "change"]
+    assert report["parent"]["metrics"]["bisect-3x8/units_per_s"]["median"] == 2.0
+    assert report["change"]["metrics"]["bisect-3x8/units_per_s"]["median"] == 6.0

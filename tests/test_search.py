@@ -189,6 +189,14 @@ def test_exhaustive_search_worst_case_visits_whole_space():
     assert out.ledger.global_oracle_calls == 9
 
 
+def test_exhaustive_search_without_marks_asks_nothing():
+    def refuse(paths):
+        raise AssertionError("the oracle was asked")
+
+    problem = GridProblem(marked=[MarkedSet.from_indices(5, [1, 2]), MarkedSet(4)], global_oracle=refuse)
+    assert exhaustive_search(problem) == SearchOutcome(False, None, 1, QueryLedger([0, 0], 20, 1))
+
+
 def test_exhaustive_search_cap():
     prob = GridProblem.product(
         [MarkedSet.from_indices(4000, [1]), MarkedSet.from_indices(4000, [2])]
@@ -362,6 +370,10 @@ def _assert_matches_replay(problem: GridProblem, params: ScheduleParams) -> Sear
     got = run_grid_search(GridProblem(marked=problem.marked, global_oracle=logged), params)
     want, want_asked = _replayed_search(problem, params)
     assert got == want
+    if not all(ms.marked for ms in problem.marked):
+        # a bucket without marks: no round can pass, so none is judged
+        assert asked == []
+        return got
     # a block is judged whole: rows after the first accept are seen, not charged
     assert asked[: len(want_asked)] == want_asked
     assert got.success or len(asked) == len(want_asked)
@@ -373,6 +385,14 @@ def _buckets(sizes, counts):
         MarkedSet.from_indices(n, range(n) if c == n else _marks(n, c) if c else [])
         for n, c in zip(sizes, counts)
     ]
+
+
+def _rejecting(sizes):
+    """Every bucket marked and every path rejected: each round is sampled
+    and judged, and every one misses."""
+    return GridProblem(
+        marked=_buckets(sizes, [1] * len(sizes)), global_oracle=lambda p: np.zeros(len(p), bool)
+    )
 
 
 @pytest.mark.parametrize("strict", [False, True])
@@ -393,6 +413,13 @@ def test_block_search_matches_round_replay(sizes, counts, strict):
         _assert_matches_replay(problem, ScheduleParams(seed=seed, strict_paper=strict))
 
 
+@pytest.mark.parametrize("strict", [False, True])
+def test_block_search_matches_round_replay_when_every_path_is_rejected(strict):
+    problem = _rejecting((16, 16, 16))
+    for seed in range(12):
+        _assert_matches_replay(problem, ScheduleParams(seed=seed, strict_paper=strict))
+
+
 @pytest.mark.parametrize("max_rounds", [1, 31, 32, 33, 45, 96, 200])
 def test_block_search_stops_mid_block(max_rounds):
     problem = GridProblem.product(_buckets((64, 32), (0, 1)))
@@ -400,14 +427,27 @@ def test_block_search_stops_mid_block(max_rounds):
     assert out.rounds_used == out.ledger.rounds == max_rounds
 
 
+@pytest.mark.parametrize("max_rounds", [1, 31, 32, 33, 45, 96, 200])
+def test_sampled_block_search_stops_mid_block(max_rounds):
+    out = _assert_matches_replay(_rejecting((64, 32)), ScheduleParams(seed=3, max_rounds=max_rounds))
+    assert out.rounds_used == out.ledger.rounds == max_rounds
+
+
+# with lam = 2**(1/3), six products give m = 4.0 (draws up to 3) where
+# lam**6 = 4.000000000000001 (draws up to 4)
+_CUBE_ROOT_2 = 2 ** (1 / 3)
+
+
 def test_block_search_budgets_repeat_the_multiplication():
-    # with lam = 2**(1/3), six products give m = 4.0 (draws up to 3) where
-    # lam**6 = 4.000000000000001 (draws up to 4)
-    lam = 2 ** (1 / 3)
-    assert math.ceil(lam**6 - 1) == 4
+    assert math.ceil(_CUBE_ROOT_2**6 - 1) == 4
     problem = GridProblem.product(_buckets((64,), (0,)))
     for seed in range(12):
-        _assert_matches_replay(problem, ScheduleParams(seed=seed, lam=lam, max_rounds=12))
+        _assert_matches_replay(problem, ScheduleParams(seed=seed, lam=_CUBE_ROOT_2, max_rounds=12))
+
+
+def test_sampled_block_search_budgets_repeat_the_multiplication():
+    for seed in range(12):
+        _assert_matches_replay(_rejecting((64,)), ScheduleParams(seed=seed, lam=_CUBE_ROOT_2, max_rounds=12))
 
 
 def test_block_search_matches_replay_through_lemire_rejections():
@@ -431,6 +471,30 @@ def test_bisect_inner_searches_match_round_replay(monkeypatch):
     for seed in range(3):
         run_bisect(family, family.cost_of, 0.0, 1.2, 8, ScheduleParams(seed=seed))
     assert len(seen) >= 24
+
+
+def test_bisect_from_below_the_minimum_equals_its_round_replay(monkeypatch):
+    grid = build_brachistochrone_grid(3, 8)
+    family = RangeProblemFamily(CostTable.build(grid.sizes, BrachistochroneCost(grid)))
+    # the first window, (0, b0 / 2), lies below every path's cost
+    b0 = 1.5
+    assert b0 / 2 < family.table.costs.min() < b0
+    empty = []
+
+    def checked(problem, params):
+        empty.append(not all(ms.marked for ms in problem.marked))
+        return _assert_matches_replay(problem, params)
+
+    def replayed(problem, params):
+        return _replayed_search(problem, params)[0]
+
+    for seed in range(4):
+        params = ScheduleParams(seed=seed)
+        monkeypatch.setattr(bisection, "run_grid_search", checked)
+        got = run_bisect(family, family.cost_of, 0.0, b0, 8, params)
+        monkeypatch.setattr(bisection, "run_grid_search", replayed)
+        assert got == run_bisect(family, family.cost_of, 0.0, b0, 8, params)
+    assert any(empty) and not all(empty)
 
 
 @pytest.mark.parametrize("first, cap", [(1, 1), (3, 7)])

@@ -376,6 +376,28 @@ def test_range_oracle_reads_the_solution_mask(sizes):
             oracle(paths)
 
 
+_LEVELS = [-1.0, 0.0, 0.5, 1.0, 2.0, 2.5, math.inf]
+
+
+@st.composite
+def cost_windows(draw):
+    sizes = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    space = math.prod(sizes)
+    costs = np.array(draw(st.lists(st.sampled_from(_LEVELS), min_size=space, max_size=space)))
+    # windows on, between and beyond the cost levels, ties included
+    a, b = sorted(draw(st.lists(st.sampled_from([*_LEVELS, 0.25, 1.5, 3.0, -math.inf]), min_size=2, max_size=2)))
+    assume(a < b)
+    return CostTable.build(sizes, lambda path: costs[np.ravel_multi_index(path, sizes)]), a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(cost_windows())
+def test_range_problem_has_an_empty_bucket_exactly_when_its_window_is_empty(case):
+    table, a, b = case
+    problem = RangeProblemFamily(table)(a, b)
+    assert all(ms.marked for ms in problem.marked) == table.solution_mask(a, b).any()
+
+
 def test_brute_force_minimum_matches_table_scan():
     grid = build_brachistochrone_grid(2, [4, 4])
     cost = BrachistochroneCost(grid)
