@@ -1,6 +1,6 @@
 """Record the benchmark's median and spread over several seeds in a BENCH file.
 
-    python3 scripts/bench_record.py --out BENCH_10.json --section change
+    python3 scripts/bench_record.py --out BENCH_<n>.json --section change
                                     [--root DIR] [--seeds 5] [--first-seed 1] [--seconds 10]
 
 Runs ``python3 perfbench/run.py --workload all --trace 0`` in the source

@@ -433,21 +433,20 @@ def test_sampled_block_search_stops_mid_block(max_rounds):
     assert out.rounds_used == out.ledger.rounds == max_rounds
 
 
-# with lam = 2**(1/3), six products give m = 4.0 (draws up to 3) where
-# lam**6 = 4.000000000000001 (draws up to 4)
-_CUBE_ROOT_2 = 2 ** (1 / 3)
-
-
 def test_block_search_budgets_repeat_the_multiplication():
-    assert math.ceil(_CUBE_ROOT_2**6 - 1) == 4
+    # with lam = 2**(1/3), six products give m = 4.0 (draws up to 3) where
+    # lam**6 = 4.000000000000001 (draws up to 4)
+    lam = 2 ** (1 / 3)
+    assert math.ceil(lam**6 - 1) == 4
     problem = GridProblem.product(_buckets((64,), (0,)))
     for seed in range(12):
-        _assert_matches_replay(problem, ScheduleParams(seed=seed, lam=_CUBE_ROOT_2, max_rounds=12))
+        _assert_matches_replay(problem, ScheduleParams(seed=seed, lam=lam, max_rounds=12))
 
 
 def test_sampled_block_search_budgets_repeat_the_multiplication():
+    lam = 2 ** (1 / 3)  # as above, with each round's path sampled and judged
     for seed in range(12):
-        _assert_matches_replay(_rejecting((64,)), ScheduleParams(seed=seed, lam=_CUBE_ROOT_2, max_rounds=12))
+        _assert_matches_replay(_rejecting((64,)), ScheduleParams(seed=seed, lam=lam, max_rounds=12))
 
 
 def test_block_search_matches_replay_through_lemire_rejections():
