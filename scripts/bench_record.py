@@ -1,11 +1,11 @@
 """Record the benchmark's median and spread over several seeds in a BENCH file.
 
     python3 scripts/bench_record.py --out BENCH_<n>.json --section change
-                                    [--root DIR] [--seeds 5] [--first-seed 1] [--seconds 10]
+                                    [--root DIR] [--seeds 5] [--seconds 25]
 
 Runs ``python3 perfbench/run.py --workload all --trace 0`` in the source
-checkout ``--root`` (this repository by default) once per seed and
-stores, under ``--section`` of the JSON file ``--out``, the environment
+checkout ``--root`` (this repository by default) once for each seed
+1..``--seeds`` and stores, under ``--section`` of the JSON file ``--out``, the environment
 stamp, the repeat count and run length, the error fraction and, for
 every ``<workload>/<metric>``, the per-seed values with their median and
 quartiles (``statistics.quantiles(values, n=4)``) and the distance
@@ -69,14 +69,13 @@ def main(argv=None) -> int:
     parser.add_argument("--section", required=True)
     parser.add_argument("--root", type=Path, default=REPO)
     parser.add_argument("--seeds", type=int, default=5)
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=int, default=10)
+    parser.add_argument("--seconds", type=int, default=25)
     args = parser.parse_args(argv)
-    if args.seeds < 2 or args.first_seed < 0 or args.seconds < 1:
-        parser.error("--seeds must be >= 2, --first-seed >= 0 and --seconds >= 1")
+    if args.seeds < 2 or args.seconds < 1:
+        parser.error("--seeds must be >= 2 and --seconds >= 1")
 
     runs = []
-    for seed in range(args.first_seed, args.first_seed + args.seeds):
+    for seed in range(1, args.seeds + 1):
         runs.append(run_once(args.root, seed, args.seconds))
         print(f"seed {seed}: done", flush=True)
     report = json.loads(args.out.read_text(encoding="utf-8")) if args.out.is_file() else {}

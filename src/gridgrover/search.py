@@ -154,6 +154,11 @@ class GridProblem:
     def sizes(self) -> tuple[int, ...]:
         return tuple(ms.size for ms in self.marked)
 
+    @property
+    def has_empty_bucket(self) -> bool:
+        """Whether some bucket has no marks, so that no path can pass."""
+        return not all(self._sorted_marks)
+
     @classmethod
     def product(cls, marked_sets: Sequence[MarkedSet]) -> "GridProblem":
         """Build a product-mode problem straight from marked sets."""
@@ -318,13 +323,11 @@ def run_grid_search(problem: GridProblem, params: ScheduleParams) -> SearchOutco
     """
     lam, max_rounds = params.resolve(problem)
     draws = np.random.default_rng(params.seed)
-    measures = np.random.Generator(draws.bit_generator.jumped())
+    measures = None if problem.has_empty_bucket else np.random.Generator(draws.bit_generator.jumped())
     roots = np.array([math.sqrt(n) for n in problem.sizes])
     caps = np.array([0 if params.strict_paper else math.ceil(r) for r in roots.tolist()])
     spent, path = np.zeros(problem.k, dtype=np.int64), None
-    # a bucket without marks rejects every path: draw only the j
-    hopeless = bool(problem._tables.count.min() == 0)
-    m, done, block = 1.0, 0, _MAX_BLOCK if hopeless else _FIRST_BLOCK
+    m, done, block = 1.0, 0, _FIRST_BLOCK
     while done < max_rounds:
         count = min(block, max_rounds - done)
         # repeated m *= lam, as round by round: lam**r differs in the last bits
@@ -333,7 +336,7 @@ def run_grid_search(problem: GridProblem, params: ScheduleParams) -> SearchOutco
         below_cap = np.ceil(np.minimum(column, roots) - 1.0).astype(np.int64)
         hi = np.where(column > roots, caps, below_cap)
         j, accepted = draws.integers(0, hi + 1), np.empty(0, dtype=np.intp)
-        if not hopeless:
+        if measures is not None:
             paths = measure_closed_form_grid(problem._tables, j, measures.random(hi.shape))
             accepted = np.flatnonzero(problem.global_oracle(paths))
         # one query per round, up to and including the first accepted one
@@ -365,7 +368,7 @@ def exhaustive_search(problem: GridProblem, cap: int = 10_000_000) -> SearchOutc
     if space > cap:
         raise ValueError(f"search space {space} exceeds enumeration cap {cap}")
     ledger = QueryLedger([0] * problem.k, global_oracle_calls=space, rounds=1)
-    if problem._tables.count.min() == 0:  # a bucket without marks rejects every path
+    if problem.has_empty_bucket:
         return SearchOutcome(False, None, 1, ledger)
     for first in range(0, space, _SCAN_CHUNK):
         rows = np.arange(first, min(first + _SCAN_CHUNK, space))
