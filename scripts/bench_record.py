@@ -11,6 +11,10 @@ every ``<workload>/<metric>``, the per-seed values with their median and
 quartiles (``statistics.quantiles(values, n=4)``) and the distance
 between the quartiles.  Other sections already in the file are kept,
 so a parent checkout and a change can be recorded side by side.
+
+perfbench stamps the checkout's HEAD commit, not the files that ran, so
+a ``--root`` that is not a git checkout or whose ``git status
+--porcelain`` lists anything is refused: record from a clean clone.
 """
 
 from __future__ import annotations
@@ -73,6 +77,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.seeds < 2 or args.seconds < 1:
         parser.error("--seeds must be >= 2 and --seconds >= 1")
+    status = subprocess.run(["git", "status", "--porcelain"], cwd=args.root,
+                            capture_output=True, text=True)
+    if status.returncode != 0 or status.stdout:
+        parser.error(f"{args.root} is not a clean git checkout, and runs are stamped "
+                     f"with its HEAD commit:\n{(status.stderr or status.stdout).rstrip()}")
 
     runs = []
     for seed in range(1, args.seeds + 1):

@@ -78,9 +78,7 @@ class BucketStats:
 
 def stats_from_problem(problem: GridProblem) -> list[BucketStats]:
     """Stats of every bucket, from the problem's marked sets."""
-    return [
-        BucketStats.from_counts(ms.size, ms.count) for ms in problem.marked_sets()
-    ]
+    return [BucketStats.from_counts(ms.size, ms.count) for ms in problem.marked]
 
 
 def avg_success_probability(m: int, stats: Sequence[BucketStats]) -> float:

@@ -167,9 +167,6 @@ class GridProblem:
         marks = tuple(np.array([*sorted(ms.marked), end], dtype=np.int64) for ms in sets)
         return cls(marked=sets, global_oracle=functools.partial(_in_every_bucket, marks))
 
-    def marked_sets(self) -> list[MarkedSet]:
-        return list(self.marked)
-
 
 @dataclass(frozen=True)
 class ScheduleParams:

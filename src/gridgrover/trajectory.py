@@ -22,8 +22,12 @@ slope (a double root: the integral diverges logarithmically), get the
 
 The abscissae are the same for every path of a grid, so the interpolant
 and its slope at the quadrature nodes are fixed linear maps of the node
-ordinates.  One evaluator, :meth:`BrachistochroneCost.costs`, therefore
-integrates a block of paths at once; a single path is a block of one.
+ordinates: y = sum_i y_i B_i, a sum of one term per node.  One evaluator,
+:meth:`BrachistochroneCost.costs`, therefore integrates a block of paths
+at once; a single path is a block of one.  Paths share ordinates, so at
+each panel level it multiplies every distinct ordinate of a column by
+its node's basis row once, and each path gathers its k + 2 terms and
+adds them in node order, the same float operations as a path alone.
 """
 
 from __future__ import annotations
@@ -202,11 +206,43 @@ def _combine(rows: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return out
 
 
+def _node_codes(rows: np.ndarray, take: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per node column of ``rows[take]``: its distinct ordinates, and the
+    index of each of those rows' ordinates among them, in the smallest
+    unsigned type that holds it."""
+    codes = []
+    for col in rows.T:
+        col = col[take]
+        # np.unique's own inverse holds several row-sized index arrays at once
+        values = np.unique(col)
+        index = np.searchsorted(values, col).astype(np.min_scalar_type(values.size - 1))
+        codes.append((values, index))
+    return codes
+
+
+def _term_tables(codes, basis: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per node i: a table of its distinct ordinates times basis[i], one
+    row each, with each row's index into it (from :func:`_node_codes`)."""
+    return [(values[:, None] * b, index) for (values, index), b in zip(codes, basis)]
+
+
+def _term_sum(tables, take: slice) -> np.ndarray:
+    """``_combine(rows, basis)`` for the coded rows at positions ``take``:
+    each row gathers its nodes' products from the tables and adds them in
+    node order, the same float operations, so bit for bit the same."""
+    (first, index), *rest = tables
+    out = first[index[take]]
+    for table, index in rest:
+        out += table[index[take]]
+    return out
+
+
 def _positive(kind: str, xs: tuple[float, ...], rows: np.ndarray) -> np.ndarray:
     """:meth:`Curve.positive_interior` for every row of node ordinates."""
     if kind == "linear":
         # a broken line can only dip as low as its nodes
         return np.all(rows[:, 1:-1] > 0.0, axis=1)
+    # k + 2 coefficients per row: multiplying costs less than coding the rows
     bern, d = _combine(rows, _node_to_bernstein(xs).T), len(xs) - 1
     zero_end = rows[:, -1] == 0.0
     ok = np.empty(rows.shape[0], dtype=bool)
@@ -359,7 +395,9 @@ class BrachistochroneCost:
         +inf where :meth:`Curve.positive_interior` fails or (a safeguard) a
         quadrature sample of y is not positive.  Each path's panels double
         until its value changes by at most ``rel_tol``, RuntimeError past
-        ``max_panels``; paths are evaluated in blocks of _BLOCK_ELEMENTS."""
+        ``max_panels``.  At each level, y and its slope at the samples are
+        sums of per-node terms from tables over the distinct ordinates of
+        the paths still open (:meth:`_estimates`)."""
         xs, rows, cfg = self.grid.node_abscissae, self.grid.node_rows(paths), self.quadrature
         times, prev = np.full(rows.shape[0], math.inf), np.full(rows.shape[0], math.nan)
         positive = np.empty(rows.shape[0], dtype=bool)
@@ -371,21 +409,41 @@ class BrachistochroneCost:
         while live.size:
             if panels > cfg.max_panels:
                 raise RuntimeError(f"quadrature did not converge within {cfg.max_panels} panels")
-            weights, b, db = _layout(xs, self.kind, panels, cfg.nodes_per_panel)
-            step = max(1, _BLOCK_ELEMENTS // weights.size)
-            value = np.empty(live.size)
-            for s in range(0, live.size, step):
-                block = rows[live[s : s + step]]
-                y, dy = _combine(block, b), _combine(block, db)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    f = np.sqrt((1.0 + dy * dy) / (2.0 * self.g * y)) * weights
-                value[s : s + step] = np.where(np.any(y <= 0.0, axis=1), math.inf, f.sum(axis=1))
+            value = self._estimates(rows, live, panels)
             done = np.isinf(value) | (np.abs(value - prev[live]) <= cfg.rel_tol * np.abs(value))
             times[live[done]] = value[done]
             prev[live] = value
             live = live[~done]
             panels *= 2
         return times
+
+    def _estimates(self, rows: np.ndarray, live: np.ndarray, panels: int) -> np.ndarray:
+        """The quadrature at ``panels`` panels for each of ``rows[live]``, +inf
+        where a sample of y is not positive.  The term tables are sized by
+        the distinct ordinates of these rows, not by the grid's columns, so
+        a deep level on few rows stays small; blocks of _BLOCK_ELEMENTS
+        samples gather their y and slope from them (:func:`_term_sum`)
+        and form the integrand in place."""
+        xs, nodes = self.grid.node_abscissae, self.quadrature.nodes_per_panel
+        weights, b, db = _layout(xs, self.kind, panels, nodes)
+        codes = _node_codes(rows, live)
+        y_terms, dy_terms = _term_tables(codes, b), _term_tables(codes, db)
+        step = max(1, _BLOCK_ELEMENTS // weights.size)
+        value = np.empty(live.size)
+        for s in range(0, live.size, step):
+            block = slice(s, s + step)
+            y, f = _term_sum(y_terms, block), _term_sum(dy_terms, block)
+            floor = np.any(y <= 0.0, axis=1)
+            # f = sqrt((1 + dy^2) / (2 g y)) * weights
+            f *= f
+            f += 1.0
+            y *= 2.0 * self.g
+            with np.errstate(divide="ignore", invalid="ignore"):
+                f /= y
+                np.sqrt(f, out=f)
+            f *= weights
+            value[block] = np.where(floor, math.inf, f.sum(axis=1))
+        return value
 
 
 def straight_line_descent_time(g: float = 9.8) -> float:

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -52,13 +53,40 @@ def test_aggregate_counts_failures_and_needs_two_runs():
         bench_record.aggregate([_run(1, 1.0, 1.0)], 25)
 
 
+def _checkout(path):
+    """An empty git checkout at ``path``: clean until a file is added."""
+    path.mkdir()
+    subprocess.run(["git", "init", "-q", str(path)], check=True)
+    return path
+
+
 def test_sections_are_merged_into_the_bench_file(tmp_path, monkeypatch):
     runs = iter([_run(1, 1.0, 2.0), _run(2, 3.0, 2.0), _run(1, 5.0, 2.0), _run(2, 7.0, 2.0)])
     monkeypatch.setattr(bench_record, "run_once", lambda root, seed, seconds: next(runs))
+    root = _checkout(tmp_path / "checkout")
     out = tmp_path / "BENCH.json"
     for section in ("parent", "change"):
-        assert bench_record.main(["--out", str(out), "--section", section, "--seeds", "2"]) == 0
+        argv = ["--out", str(out), "--section", section, "--seeds", "2", "--root", str(root)]
+        assert bench_record.main(argv) == 0
     report = json.loads(out.read_text())
     assert list(report) == ["parent", "change"]
     assert report["parent"]["metrics"]["bisect-3x8/units_per_s"]["median"] == 2.0
     assert report["change"]["metrics"]["bisect-3x8/units_per_s"]["median"] == 6.0
+
+
+def test_a_root_that_is_not_a_clean_checkout_is_refused(tmp_path, monkeypatch, capsys):
+    # perfbench stamps HEAD, so a run over uncommitted files would carry
+    # the SHA of a tree that did not run
+    monkeypatch.setattr(bench_record, "run_once", lambda root, seed, seconds: pytest.fail("ran"))
+    root = _checkout(tmp_path / "checkout")
+    (root / "edited.py").write_text("x = 1\n")
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    out = tmp_path / "BENCH.json"
+    for bad, shown in ((root, "?? edited.py"), (plain, "not a git repository")):
+        with pytest.raises(SystemExit) as exit_:
+            bench_record.main(["--out", str(out), "--section", "change", "--root", str(bad)])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "not a clean git checkout" in err and shown in err
+        assert not out.exists()

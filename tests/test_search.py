@@ -213,7 +213,7 @@ def test_cost_mode_problem_rejects_cross_paths():
 
     fam = RangeProblemFamily.from_cost((4, 4), cost)
     prob = fam(4.5, 6.5)  # sums 5 and 6
-    sets = prob.marked_sets()
+    sets = prob.marked
     assert sorted(sets[0].marked) == [2, 3]
     assert sorted(sets[1].marked) == [2, 3]
     # sum 4: in the product, not a solution

@@ -236,6 +236,65 @@ def test_single_path_cost_is_the_table_entry(kind):
         assert brachistochrone_cost(grid, tuple(path), kind=kind) == table.cost_of(path)
 
 
+# uneven columns, and an end ordinate above the floor so the end node adds a term
+UNEVEN_GRID = Grid(
+    abscissae=np.array([0.8, 1.6, 2.4]),
+    columns=(np.linspace(0.4, 2.4, 5), np.linspace(0.1, 2.1, 9), np.array([0.3, 0.9, 1.8])),
+    start=(0.0, 2.0),
+    end=(3.0, 0.3),
+)
+
+
+def _reference_descent_time(grid, path, kind, g=9.8):
+    """Descent time from scipy's adaptive quadrature (polynomial) or the
+    exact segment times 2L/(v0 + v1) (broken line), apart from the evaluator."""
+    integrate = pytest.importorskip("scipy.integrate")
+    xs, ys = grid.node_points(path)
+    if kind == "linear":
+        v = np.sqrt(2.0 * g * ys)
+        return float(np.sum(2.0 * np.hypot(np.diff(xs), np.diff(ys)) / (v[:-1] + v[1:])))
+    y = np.polynomial.Polynomial.fit(xs, ys, len(xs) - 1)
+    dy = y.deriv()
+    return integrate.quad(lambda x: math.sqrt((1.0 + dy(x) ** 2) / (2.0 * g * y(x))), xs[0], xs[-1])[0]
+
+
+@pytest.mark.parametrize("kind", ["polynomial", "linear"])
+def test_costs_of_a_shuffled_subset_with_repeats_are_the_table_entries(kind):
+    # each subset has its own distinct ordinates per column, so its term
+    # tables and row indices differ from the table's at every panel level
+    cost = BrachistochroneCost(UNEVEN_GRID, quadrature=QuadratureConfig(rel_tol=1e-6), kind=kind)
+    table = CostTable.build(UNEVEN_GRID.sizes, cost)
+    assert np.isfinite(table.costs).any()
+    rng = np.random.default_rng(11)
+    for size in (1, 7, 60, 300):
+        pick = rng.integers(0, len(table.paths), size)
+        assert cost.costs(table.paths[pick]).tobytes() == table.costs[pick].tobytes()
+    pick = rng.permutation(len(table.paths))[:40]
+    assert cost.costs(table.paths[pick]).tobytes() == table.costs[pick].tobytes()
+    # and the entries are descent times over a curve that ends at y = 0.3
+    for flat in (0, 70, int(np.argmin(table.costs))):
+        path = tuple(table.paths[flat])
+        if np.isfinite(table.costs[flat]):
+            reference = _reference_descent_time(UNEVEN_GRID, path, kind)
+            assert abs(table.costs[flat] - reference) <= 1e-5 * reference
+
+
+def test_unconverged_path_fails_in_bounded_memory():
+    # one path taken to max_panels: 16,384 samples at the last level, where
+    # term tables over all 194 node ordinates of the 3x64 board would hold
+    # 2 x 194 x 16,384 floats (49 MB) against 2 x 5 x 16,384 for this path
+    grid = build_brachistochrone_grid(3, 64)
+    cfg = QuadratureConfig(base_panels=1, nodes_per_panel=1, rel_tol=1e-12)
+    tracemalloc.start()
+    try:
+        with pytest.raises(RuntimeError, match="^quadrature did not converge within 16384 panels$"):
+            brachistochrone_cost(grid, (62, 60, 32), quadrature=cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
 def test_large_board_builds_in_bounded_memory():
     grid = build_brachistochrone_grid(4, 16)
     tracemalloc.start()
@@ -254,7 +313,7 @@ def test_large_board_builds_in_bounded_memory():
 
 def test_polynomial_positivity_is_blocked_like_the_quadrature():
     # deciding positivity for all 65,536 rows at once peaked at 22 MB;
-    # the broken line, which needs no Bernstein pieces, peaks at 8.6 MB
+    # the broken line, which needs no Bernstein pieces, peaks at 8.9 MB
     grid = build_brachistochrone_grid(4, 16)
     tracemalloc.start()
     try:
@@ -351,7 +410,7 @@ def test_query_validation():
 def test_range_problem_family_consistency():
     fam = RangeProblemFamily.from_cost((4, 4), IndexSumCost(sizes=(4, 4)))
     prob = fam(4.5, 6.5)  # sums 5 and 6
-    assert [sorted(s.marked) for s in prob.marked_sets()] == [[2, 3], [2, 3]]
+    assert [sorted(s.marked) for s in prob.marked] == [[2, 3], [2, 3]]
     # sum 4: inside the product, outside the window
     assert prob.global_oracle(np.array([[2, 3], [3, 3], [2, 2]])).tolist() == [True, True, False]
     assert fam.cost_of((3, 2)) == 5.0
