@@ -77,7 +77,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.seeds < 2 or args.seconds < 1:
         parser.error("--seeds must be >= 2 and --seconds >= 1")
-    status = subprocess.run(["git", "status", "--porcelain"], cwd=args.root,
+    status = subprocess.run(["git", "-C", str(args.root), "status", "--porcelain"],
                             capture_output=True, text=True)
     if status.returncode != 0 or status.stdout:
         parser.error(f"{args.root} is not a clean git checkout, and runs are stamped "

@@ -83,7 +83,8 @@ def test_a_root_that_is_not_a_clean_checkout_is_refused(tmp_path, monkeypatch, c
     plain = tmp_path / "plain"
     plain.mkdir()
     out = tmp_path / "BENCH.json"
-    for bad, shown in ((root, "?? edited.py"), (plain, "not a git repository")):
+    missing = tmp_path / "missing"
+    for bad, shown in ((root, "?? edited.py"), (plain, "not a git repository"), (missing, "cannot change")):
         with pytest.raises(SystemExit) as exit_:
             bench_record.main(["--out", str(out), "--section", "change", "--root", str(bad)])
         assert exit_.value.code == 2
