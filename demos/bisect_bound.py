@@ -6,11 +6,11 @@ the bracket with an inner search and keeps whichever half still contains
 a solution.
 """
 
-from gridgrover import RangeProblemFamily, ScheduleParams, run_bisect
+from gridgrover import CostTable, RangeProblemFamily, ScheduleParams, run_bisect
 from gridgrover.cli import IndexSumCost
 
 cost = IndexSumCost(sizes=(8,), offset=1.0)
-family = RangeProblemFamily.from_cost((8,), cost)
+family = RangeProblemFamily(CostTable.build((8,), cost))
 
 result = run_bisect(
     family,

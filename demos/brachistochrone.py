@@ -8,11 +8,8 @@ quadrature of sqrt((1 + y'^2) / (2 g y)).
 from gridgrover import (
     BrachistochroneCost,
     CostTable,
-    SolutionSetQuery,
     build_brachistochrone_grid,
-    cross_path_rate,
     cycloid_descent_time,
-    derive_local_marked_sets,
     interpolate,
     straight_line_descent_time,
 )
@@ -41,9 +38,8 @@ print("interpolated midpoint height:", round(float(curve(1.5708)), 4))
 # time up to quadrature rounding; ending the strict window at that cost
 # leaves the line out by construction instead of by rounding.
 on_line = table.cost_of((5, 3, 1))
-query = SolutionSetQuery(0.0, on_line, grid, cost)
-sets = derive_local_marked_sets(query)
+sets = table.marked_sets(0.0, on_line)
 for i, ms in enumerate(sets):
     print(f"column {i}: {len(ms.marked)}/{n} ordinates occur in sub-line paths")
-rate = cross_path_rate(query)
+rate = table.cross_path_rate(0.0, on_line)
 print(f"product-set members that are not actual solutions: {rate:.3f}")

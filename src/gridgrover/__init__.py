@@ -8,9 +8,10 @@ global oracle and runs rounds with an adaptive iteration budget;
 :mod:`gridgrover.analysis` carries the closed-form success probabilities
 and runtime ceilings; :mod:`gridgrover.bisection` brackets an unknown
 minimum cost with range oracles; :mod:`gridgrover.trajectory` supplies
-the descent-time cost on discretized curves plus exhaustive baselines;
-:mod:`gridgrover.cli` wires everything into a reproducible experiment
-runner.
+the descent-time cost on discretized curves and the exhaustive cost
+table, with its minimum and each cost window's paths, marked sets and
+cross-path rate; :mod:`gridgrover.cli` wires everything into a
+reproducible experiment runner.
 """
 
 from .analysis import (
@@ -68,17 +69,11 @@ from .trajectory import (
     CostTable,
     Curve,
     Grid,
-    PolynomialCurve,
     QuadratureConfig,
     RangeProblemFamily,
-    SolutionSetQuery,
     brachistochrone_cost,
-    brute_force_minimum,
     build_brachistochrone_grid,
-    cross_path_rate,
     cycloid_descent_time,
-    derive_local_marked_sets,
-    enumerate_solution_paths,
     interpolate,
     straight_line_descent_time,
 )

@@ -45,9 +45,7 @@ from .trajectory import (
     Grid,
     QuadratureConfig,
     RangeProblemFamily,
-    SolutionSetQuery,
     build_brachistochrone_grid,
-    cross_path_rate,
     cycloid_descent_time,
     interpolate,
     straight_line_descent_time,
@@ -76,6 +74,10 @@ class IndexSumCost:
 
     def __call__(self, path: Sequence[int]) -> float:
         return self.offset + float(sum(path))
+
+    def costs(self, paths: np.ndarray) -> np.ndarray:
+        """Every row's ``self(path)``: the exact integer sum plus the offset."""
+        return self.offset + paths.sum(axis=1)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -316,7 +318,7 @@ def cmd_search(section: dict, seed: int, jobs: int):
     elif "cost" in section:
         a, b = _bracket(_require(section, "bounds", "search"), "search.bounds")
         sizes, cost, cost_echo = _build_cost(section["cost"], "search.cost")
-        problem = RangeProblemFamily.from_cost(sizes, cost)(a, b)
+        problem = RangeProblemFamily(CostTable.build(sizes, cost))(a, b)
         effective = {"problem": {"cost": cost_echo, "bounds": [a, b]}}
     else:
         raise ConfigError("search needs bucket_sizes+marked or cost+bounds")
@@ -329,7 +331,8 @@ def cmd_search(section: dict, seed: int, jobs: int):
 
 def cmd_bisect(section: dict, seed: int, jobs: int):
     sizes, cost, cost_echo = _build_cost(_require(section, "cost", "bisect"), "bisect.cost")
-    result, echo = _bisect(section, "bisect", seed, RangeProblemFamily.from_cost(sizes, cost))
+    family = RangeProblemFamily(CostTable.build(sizes, cost))
+    result, echo = _bisect(section, "bisect", seed, family)
     return EXIT_OK, {"cost": cost_echo, **echo}, result, {}
 
 
@@ -357,14 +360,13 @@ def cmd_brachistochrone(section: dict, seed: int, jobs: int):
         a, b = _bracket(section["enumerate"], "brachistochrone.enumerate")
         effective["enumerate"] = [a, b]
         sol_paths = table.solution_paths(a, b)
-        query = SolutionSetQuery(a, b, grid, cost, _table=table)
         header = [f"i{j}" for j in range(grid.k)] + ["cost"]
         tables["enumeration.csv"] = (header, [[*p, table.cost_of(p)] for p in sol_paths])
         result["enumerate"] = {
             "bounds": [a, b],
             "solution_count": len(sol_paths),
             "local_marked_sets": [sorted(ms.marked) for ms in table.marked_sets(a, b)],
-            "cross_path_rate": cross_path_rate(query),
+            "cross_path_rate": table.cross_path_rate(a, b),
         }
 
     if "bisect" in section:

@@ -36,7 +36,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -49,9 +49,7 @@ __all__ = [
     "Grid",
     "QuadratureConfig",
     "Curve",
-    "PolynomialCurve",
     "BrachistochroneCost",
-    "SolutionSetQuery",
     "CostTable",
     "RangeProblemFamily",
     "build_brachistochrone_grid",
@@ -59,10 +57,6 @@ __all__ = [
     "brachistochrone_cost",
     "straight_line_descent_time",
     "cycloid_descent_time",
-    "enumerate_solution_paths",
-    "derive_local_marked_sets",
-    "cross_path_rate",
-    "brute_force_minimum",
 ]
 
 # Exhaustive enumeration refuses product spaces larger than this.
@@ -304,9 +298,6 @@ class Curve:
         return bool(_positive(self.kind, self.xs, self.ys[None, :])[0])
 
 
-PolynomialCurve = Curve  # the polynomial is the default kind
-
-
 def interpolate(grid: Grid, path: Sequence[int], kind: str = "polynomial") -> Curve:
     """Continuous y(x) through the path's nodes plus both boundary points."""
     return Curve(*grid.node_points(path), kind)
@@ -470,9 +461,13 @@ class CostTable:
     costs: np.ndarray
 
     @classmethod
-    def build(
-        cls, sizes: Sequence[int], cost: Callable, cap: int = DESK_SCALE_CAP
-    ) -> "CostTable":
+    def build(cls, sizes: Sequence[int], cost, cap: int = DESK_SCALE_CAP) -> "CostTable":
+        """Tabulate ``cost`` over the product of ``range(n)`` for n in ``sizes``.
+
+        ``cost`` is a batch cost model: ``cost.costs(paths)`` maps a
+        ``(B, k)`` int64 array of paths to their B float costs, and is
+        called once, on every path in lexicographic order.  ValueError for
+        a bucket size below 1 or a product space larger than ``cap``."""
         sizes = tuple(int(n) for n in sizes)
         if any(n < 1 for n in sizes):
             raise ValueError("bucket sizes must be >= 1")
@@ -480,9 +475,7 @@ class CostTable:
         if space > cap:
             raise ValueError(f"product space {space} exceeds enumeration cap {cap}")
         paths = np.indices(sizes).reshape(len(sizes), -1).T.copy()
-        if isinstance(cost, BrachistochroneCost):
-            return cls(sizes=sizes, paths=paths, costs=cost.costs(paths))
-        return cls(sizes=sizes, paths=paths, costs=np.array([float(cost(tuple(p))) for p in paths]))
+        return cls(sizes=sizes, paths=paths, costs=cost.costs(paths))
 
     def cost_of(self, path: Sequence[int]) -> float:
         return float(self.costs[self._flat_index(path)])
@@ -506,78 +499,42 @@ class CostTable:
         return [tuple(int(i) for i in row) for row in self.paths[self.solution_mask(a, b)]]
 
     def marked_sets(self, a: float, b: float) -> list[MarkedSet]:
-        """Per-column projection of the solution set."""
+        """Per-column projection of the solution set (the marked sets
+        handed to the parallel search)."""
         return self._project(self.solution_mask(a, b))
 
-    def _project(self, mask: np.ndarray) -> list[MarkedSet]:
+    def cross_path_rate(self, a: float, b: float) -> float:
+        """Fraction of the projections' product that is NOT a solution.
+
+        The product of the per-column projections over-approximates the
+        solution set; this is the rate at which a tuple assembled from
+        individually valid coordinates misses the cost window.  Zero when
+        the product is empty.
+        """
+        solutions = self.solution_mask(a, b).reshape(self.sizes)
+        product = functools.reduce(np.logical_and, self._projections(solutions))
+        count = int(product.sum())
+        if count == 0:
+            return 0.0
+        return int((product & ~solutions).sum()) / count
+
+    def _projections(self, mask: np.ndarray) -> list[np.ndarray]:
+        """Per column, which of its indices occur in a path of ``mask``, as
+        a boolean array shaped to broadcast against the grid of paths."""
         grid = mask.reshape(self.sizes)
         axes = range(grid.ndim)
+        return [grid.any(axis=tuple(a for a in axes if a != i), keepdims=True) for i in axes]
+
+    def _project(self, mask: np.ndarray) -> list[MarkedSet]:
         return [
-            MarkedSet.from_indices(n, np.flatnonzero(grid.any(axis=tuple(a for a in axes if a != i))))
-            for i, n in enumerate(self.sizes)
+            MarkedSet.from_indices(n, np.flatnonzero(hit))
+            for n, hit in zip(self.sizes, self._projections(mask))
         ]
 
     def minimum(self) -> tuple[tuple[int, ...], float]:
         """Cheapest path; ties resolve to the lexicographically first."""
         idx = int(np.argmin(self.costs))
         return tuple(int(i) for i in self.paths[idx]), float(self.costs[idx])
-
-
-@dataclass
-class SolutionSetQuery:
-    """A strict cost window (lower, upper) over a grid's paths."""
-
-    lower: float
-    upper: float
-    grid: Grid
-    cost: Callable
-    cap: int = DESK_SCALE_CAP
-    _table: CostTable | None = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.lower < self.upper:
-            raise ValueError("query needs lower < upper")
-
-    def table(self) -> CostTable:
-        if self._table is None:
-            self._table = CostTable.build(self.grid.sizes, self.cost, cap=self.cap)
-        return self._table
-
-
-def enumerate_solution_paths(query: SolutionSetQuery) -> list[tuple[int, ...]]:
-    """All paths with cost strictly inside the window, lexicographic order."""
-    return query.table().solution_paths(query.lower, query.upper)
-
-
-def derive_local_marked_sets(query: SolutionSetQuery) -> list[MarkedSet]:
-    """Column-wise projections of the window's solution set (the marked
-    sets handed to the parallel search)."""
-    return query.table().marked_sets(query.lower, query.upper)
-
-
-def cross_path_rate(query: SolutionSetQuery) -> float:
-    """Fraction of the projections' product that is NOT a solution.
-
-    The product of the per-column projections over-approximates the
-    solution set; this is the rate at which a tuple assembled from
-    individually valid coordinates misses the cost window.  Zero when
-    the product is empty.
-    """
-    table = query.table()
-    marked = table.marked_sets(query.lower, query.upper)
-    in_product = GridProblem.product(marked).global_oracle(table.paths)
-    count = int(in_product.sum())
-    if count == 0:
-        return 0.0
-    misses = int((in_product & ~table.solution_mask(query.lower, query.upper)).sum())
-    return misses / count
-
-
-def brute_force_minimum(
-    grid: Grid, cost: Callable, cap: int = DESK_SCALE_CAP
-) -> tuple[tuple[int, ...], float]:
-    """Exhaustive minimum over every grid path (lexicographic tie-break)."""
-    return CostTable.build(grid.sizes, cost, cap=cap).minimum()
 
 
 def _in_window(mask: np.ndarray, sizes: tuple[int, ...], paths: np.ndarray) -> np.ndarray:
@@ -598,12 +555,6 @@ class RangeProblemFamily:
     """
 
     table: CostTable
-
-    @classmethod
-    def from_cost(
-        cls, sizes: Sequence[int], cost: Callable, cap: int = DESK_SCALE_CAP
-    ) -> "RangeProblemFamily":
-        return cls(table=CostTable.build(sizes, cost, cap=cap))
 
     def __call__(self, a: float, b: float) -> GridProblem:
         mask = self.table.solution_mask(a, b)

@@ -26,13 +26,10 @@ from gridgrover import (
     MarkedSet,
     RangeProblemFamily,
     ScheduleParams,
-    SolutionSetQuery,
     analytic_amplitudes,
     avg_success_probability,
-    brute_force_minimum,
     build_brachistochrone_grid,
     cycloid_descent_time,
-    derive_local_marked_sets,
     derive_seed,
     empirical_vs_closed_form,
     exhaustive_search,
@@ -210,7 +207,7 @@ def test_acceptance_6_scaling_evidence():
 
 def test_acceptance_7_brachistochrone_sandwich():
     grid = build_brachistochrone_grid(3, 8)
-    path, cost = brute_force_minimum(grid, BrachistochroneCost(grid))
+    path, cost = CostTable.build(grid.sizes, BrachistochroneCost(grid)).minimum()
     lo = cycloid_descent_time() - 0.01
     hi = straight_line_descent_time() + 1e-3
     ok = lo <= cost <= hi
@@ -221,7 +218,7 @@ def test_acceptance_7_brachistochrone_sandwich():
 
 def test_acceptance_8_bisect_soundness():
     # exact half: integer-cost toy against the hand enumeration
-    fam = RangeProblemFamily.from_cost((8,), IndexSumCost(sizes=(8,), offset=1.0))
+    fam = RangeProblemFamily(CostTable.build((8,), IndexSumCost(sizes=(8,), offset=1.0)))
     toy = run_bisect(
         fam, fam.cost_of, 0.0, 8.0, 3, ScheduleParams(seed=0), backend="exhaustive"
     )
@@ -282,12 +279,11 @@ def test_acceptance_9_oracle_derivation_equivalence():
 
     mismatches = []
     toy_sizes = (4, 3, 2)
-    toy_grid = build_brachistochrone_grid(3, list(toy_sizes))
     toy_cost = IndexSumCost(sizes=toy_sizes)
     for a, b in [(-1.0, 0.5), (0.5, 1.5), (1.5, 4.5), (5.5, 9.0), (9.5, 11.0)]:
         derived = [
             sorted(ms.marked)
-            for ms in derive_local_marked_sets(SolutionSetQuery(a, b, toy_grid, toy_cost))
+            for ms in CostTable.build(toy_sizes, toy_cost).marked_sets(a, b)
         ]
         if derived != scan(toy_sizes, toy_cost, a, b):
             mismatches.append(("toy", a, b))
@@ -297,7 +293,7 @@ def test_acceptance_9_oracle_derivation_equivalence():
     for a, b in [(1.0, 1.1), (1.05, 1.3), (0.5, 1.0), (1.0, 2.0)]:
         derived = [
             sorted(ms.marked)
-            for ms in derive_local_marked_sets(SolutionSetQuery(a, b, grid, cost))
+            for ms in CostTable.build(grid.sizes, cost).marked_sets(a, b)
         ]
         if derived != scan(grid.sizes, cost, a, b):
             mismatches.append(("trajectory", a, b))

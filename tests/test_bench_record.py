@@ -61,23 +61,35 @@ def _checkout(path):
 
 
 def test_sections_are_merged_into_the_bench_file(tmp_path, monkeypatch):
-    runs = iter([_run(1, 1.0, 2.0), _run(2, 3.0, 2.0), _run(1, 5.0, 2.0), _run(2, 7.0, 2.0)])
-    monkeypatch.setattr(bench_record, "run_once", lambda root, seed, seconds: next(runs))
-    root = _checkout(tmp_path / "checkout")
+    calls = []
+
+    def run_once(root, seed, seconds):
+        calls.append((root.name, seed))
+        return _run(seed, 10.0 * seed + (root.name == "change"), 2.0)
+
+    monkeypatch.setattr(bench_record, "run_once", run_once)
+    parent, change = _checkout(tmp_path / "parent"), _checkout(tmp_path / "change")
     out = tmp_path / "BENCH.json"
-    for section in ("parent", "change"):
-        argv = ["--out", str(out), "--section", section, "--seeds", "2", "--root", str(root)]
-        assert bench_record.main(argv) == 0
+    out.write_text(json.dumps({"earlier": {"repeats": 5}}))
+    argv = ["--out", str(out), "--section", f"parent={parent}", "--section", f"change={change}",
+            "--seeds", "3"]
+    assert bench_record.main(argv) == 0
+    # each seed runs both checkouts, the parent first on odd seeds
+    assert calls == [("parent", 1), ("change", 1), ("change", 2), ("parent", 2),
+                     ("parent", 3), ("change", 3)]
     report = json.loads(out.read_text())
-    assert list(report) == ["parent", "change"]
-    assert report["parent"]["metrics"]["bisect-3x8/units_per_s"]["median"] == 2.0
-    assert report["change"]["metrics"]["bisect-3x8/units_per_s"]["median"] == 6.0
+    assert list(report) == ["earlier", "parent", "change"]
+    assert report["earlier"] == {"repeats": 5}
+    assert report["parent"]["seeds"] == report["change"]["seeds"] == [1, 2, 3]
+    assert report["parent"]["metrics"]["bisect-3x8/units_per_s"]["values"] == [10.0, 20.0, 30.0]
+    assert report["change"]["metrics"]["bisect-3x8/units_per_s"]["median"] == 21.0
 
 
 def test_a_root_that_is_not_a_clean_checkout_is_refused(tmp_path, monkeypatch, capsys):
     # perfbench stamps HEAD, so a run over uncommitted files would carry
-    # the SHA of a tree that did not run
+    # the SHA of a tree that did not run; a clean parent does not run alone
     monkeypatch.setattr(bench_record, "run_once", lambda root, seed, seconds: pytest.fail("ran"))
+    clean = _checkout(tmp_path / "clean")
     root = _checkout(tmp_path / "checkout")
     (root / "edited.py").write_text("x = 1\n")
     plain = tmp_path / "plain"
@@ -86,8 +98,20 @@ def test_a_root_that_is_not_a_clean_checkout_is_refused(tmp_path, monkeypatch, c
     missing = tmp_path / "missing"
     for bad, shown in ((root, "?? edited.py"), (plain, "not a git repository"), (missing, "cannot change")):
         with pytest.raises(SystemExit) as exit_:
-            bench_record.main(["--out", str(out), "--section", "change", "--root", str(bad)])
+            bench_record.main(["--out", str(out), "--section", f"parent={clean}",
+                               "--section", f"change={bad}"])
         assert exit_.value.code == 2
         err = capsys.readouterr().err
         assert "not a clean git checkout" in err and shown in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("sections", [["change"], ["=dir"], ["change="], ["a=x", "a=y"]])
+def test_malformed_or_repeated_sections_are_refused(tmp_path, monkeypatch, sections):
+    monkeypatch.setattr(bench_record, "run_once", lambda root, seed, seconds: pytest.fail("ran"))
+    argv = ["--out", str(tmp_path / "BENCH.json")]
+    for value in sections:
+        argv += ["--section", value]
+    with pytest.raises(SystemExit) as exit_:
+        bench_record.main(argv)
+    assert exit_.value.code == 2

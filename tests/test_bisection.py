@@ -2,6 +2,7 @@ import pytest
 
 from gridgrover import (
     BoundInterval,
+    CostTable,
     RangeProblemFamily,
     ScheduleParams,
     initial_upper_bound,
@@ -13,7 +14,7 @@ from gridgrover.cli import IndexSumCost
 
 def family_x_plus_1():
     # cost(x) = x + 1 on a single bucket {0..7}
-    return RangeProblemFamily.from_cost((8,), IndexSumCost(sizes=(8,), offset=1.0))
+    return RangeProblemFamily(CostTable.build((8,), IndexSumCost(sizes=(8,), offset=1.0)))
 
 
 def test_toy_trace_matches_hand_enumeration():
@@ -61,7 +62,7 @@ def test_grover_backend_reproducible():
 def test_epsilon_widens_upper_end():
     # cost 4 sits exactly on the first midpoint; plain strict probing of
     # (0,4) misses it, epsilon recovers it
-    fam = RangeProblemFamily.from_cost((1,), IndexSumCost(sizes=(1,), offset=4.0))
+    fam = RangeProblemFamily(CostTable.build((1,), IndexSumCost(sizes=(1,), offset=4.0)))
     strict = run_bisect(
         fam, fam.cost_of, 0.0, 8.0, 1, ScheduleParams(seed=0), backend="exhaustive"
     )
@@ -103,7 +104,7 @@ def test_initial_upper_bound_deterministic():
 
 def test_initial_upper_bound_accepts_sized_objects():
     cost = IndexSumCost(sizes=(4, 4))
-    fam = RangeProblemFamily.from_cost((4, 4), cost)
+    fam = RangeProblemFamily(CostTable.build((4, 4), cost))
     prob = fam(0.5, 3.5)
     value = initial_upper_bound(prob, cost, trial_rng(9))
     assert 0.0 <= value <= 6.0

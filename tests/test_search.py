@@ -34,6 +34,7 @@ from gridgrover import (
     trial_rng,
     uniform_init,
 )
+from gridgrover.cli import IndexSumCost
 
 
 def test_default_lambda_values():
@@ -208,10 +209,7 @@ def test_exhaustive_search_cap():
 def test_cost_mode_problem_rejects_cross_paths():
     # local oracles over-approximate: each coordinate appears in some
     # solution, but the assembled tuple can still miss the cost window
-    def cost(path):
-        return float(sum(path))
-
-    fam = RangeProblemFamily.from_cost((4, 4), cost)
+    fam = RangeProblemFamily(CostTable.build((4, 4), IndexSumCost(sizes=(4, 4))))
     prob = fam(4.5, 6.5)  # sums 5 and 6
     sets = prob.marked
     assert sorted(sets[0].marked) == [2, 3]

@@ -12,19 +12,14 @@ from numpy.testing import assert_allclose
 from gridgrover import (
     BrachistochroneCost,
     CostTable,
+    Curve,
     Grid,
     MarkedSet,
-    PolynomialCurve,
     QuadratureConfig,
     RangeProblemFamily,
-    SolutionSetQuery,
     brachistochrone_cost,
-    brute_force_minimum,
     build_brachistochrone_grid,
-    cross_path_rate,
     cycloid_descent_time,
-    derive_local_marked_sets,
-    enumerate_solution_paths,
     interpolate,
     straight_line_descent_time,
 )
@@ -32,6 +27,16 @@ from gridgrover.cli import IndexSumCost
 
 # closed-form descent time of the straight ramp, pi*sqrt(1+4/pi^2)/sqrt(9.8)
 LINE_COST = 1.1896494253405916
+
+
+class TabulatedCost:
+    """Batch cost model that reads each path's cost from an array shaped like the grid."""
+
+    def __init__(self, values):
+        self.values = np.asarray(values, dtype=float)
+
+    def costs(self, paths):
+        return self.values[tuple(paths.T)]
 
 
 def test_grid_ordinates_exclude_zero():
@@ -183,7 +188,7 @@ def test_positive_interior_matches_exact_reference(case):
     margin = 2 * dip * max(abs(v) for v in values)
     lowest = min(values)
     assume(abs(lowest) > margin)
-    assert PolynomialCurve(xs, ys).positive_interior() == (lowest > 0)
+    assert Curve(xs, ys).positive_interior() == (lowest > 0)
 
 
 def test_quadrature_nonconvergence_raises():
@@ -341,7 +346,7 @@ def test_cost_table_order_lookup_minimum():
 
 
 def test_cost_table_tie_breaks_lexicographically():
-    table = CostTable.build((2, 2), lambda path: 1.0)
+    table = CostTable.build((2, 2), TabulatedCost(np.ones((2, 2))))
     assert table.minimum() == ((0, 0), 1.0)
 
 
@@ -357,7 +362,7 @@ def test_solution_window_and_marked_sets():
 
 def test_enumeration_cap():
     with pytest.raises(ValueError):
-        CostTable.build((4000, 4000), lambda path: 0.0)
+        CostTable.build((4000, 4000), IndexSumCost(sizes=(4000, 4000)))
 
 
 def scan_marked_sets(sizes, cost, a, b):
@@ -374,11 +379,10 @@ def scan_marked_sets(sizes, cost, a, b):
 
 def test_derived_marked_sets_match_existence_scan_toy():
     sizes = (4, 3, 2)
-    grid = build_brachistochrone_grid(3, list(sizes))
     cost = IndexSumCost(sizes=sizes)
+    table = CostTable.build(sizes, cost)
     for a, b in [(1.5, 4.5), (0.5, 1.5), (-1.0, 0.5), (7.5, 9.0)]:
-        query = SolutionSetQuery(a, b, grid, cost)
-        got = derive_local_marked_sets(query)
+        got = table.marked_sets(a, b)
         want = scan_marked_sets(sizes, cost, a, b)
         assert [sorted(m.marked) for m in got] == [sorted(m.marked) for m in want]
         want_paths = [
@@ -386,29 +390,22 @@ def test_derived_marked_sets_match_existence_scan_toy():
             for p in itertools.product(*(range(s) for s in sizes))
             if a < cost(p) < b
         ]
-        assert enumerate_solution_paths(query) == want_paths
+        assert table.solution_paths(a, b) == want_paths
 
 
 def test_cross_path_rate_toy_values():
-    grid = build_brachistochrone_grid(2, [2, 2])
-    cost = IndexSumCost(sizes=(2, 2))
+    table = CostTable.build((2, 2), IndexSumCost(sizes=(2, 2)))
     # solutions of (0.5, 1.5) are (0,1) and (1,0); the projected product
     # adds (0,0) and (1,1), so half the product misses the window
-    assert cross_path_rate(SolutionSetQuery(0.5, 1.5, grid, cost)) == 0.5
+    assert table.cross_path_rate(0.5, 1.5) == 0.5
     # empty window: empty product, rate 0 by convention
-    assert cross_path_rate(SolutionSetQuery(10.0, 11.0, grid, cost)) == 0.0
+    assert table.cross_path_rate(10.0, 11.0) == 0.0
     # full window: product equals solution set
-    assert cross_path_rate(SolutionSetQuery(-1.0, 3.0, grid, cost)) == 0.0
-
-
-def test_query_validation():
-    grid = build_brachistochrone_grid(1, [2])
-    with pytest.raises(ValueError):
-        SolutionSetQuery(2.0, 2.0, grid, IndexSumCost(sizes=(2,)))
+    assert table.cross_path_rate(-1.0, 3.0) == 0.0
 
 
 def test_range_problem_family_consistency():
-    fam = RangeProblemFamily.from_cost((4, 4), IndexSumCost(sizes=(4, 4)))
+    fam = RangeProblemFamily(CostTable.build((4, 4), IndexSumCost(sizes=(4, 4))))
     prob = fam(4.5, 6.5)  # sums 5 and 6
     assert [sorted(s.marked) for s in prob.marked] == [[2, 3], [2, 3]]
     # sum 4: inside the product, outside the window
@@ -446,7 +443,7 @@ def cost_windows(draw):
     # windows on, between and beyond the cost levels, ties included
     a, b = sorted(draw(st.lists(st.sampled_from([*_LEVELS, 0.25, 1.5, 3.0, -math.inf]), min_size=2, max_size=2)))
     assume(a < b)
-    return CostTable.build(sizes, lambda path: costs[np.ravel_multi_index(path, sizes)]), a, b
+    return CostTable.build(sizes, TabulatedCost(costs.reshape(sizes))), a, b
 
 
 @settings(max_examples=200, deadline=None)
@@ -457,10 +454,15 @@ def test_range_problem_has_an_empty_bucket_exactly_when_its_window_is_empty(case
     assert problem.has_empty_bucket != table.solution_mask(a, b).any()
 
 
-def test_brute_force_minimum_matches_table_scan():
-    grid = build_brachistochrone_grid(2, [4, 4])
-    cost = BrachistochroneCost(grid)
-    path, value = brute_force_minimum(grid, cost)
-    table = CostTable.build(grid.sizes, cost)
-    assert value == float(np.min(table.costs))
-    assert table.cost_of(path) == value
+@settings(max_examples=200, deadline=None)
+@given(cost_windows())
+def test_cross_path_rate_counts_the_product_members_outside_the_window(case):
+    table, a, b = case
+    # independent count: scan for the solutions, project them by hand and
+    # walk the product of the projections
+    scan = itertools.product(*(range(n) for n in table.sizes))
+    solutions = {path for path in scan if a < table.cost_of(path) < b}
+    columns = [sorted({path[i] for path in solutions}) for i in range(len(table.sizes))]
+    product = list(itertools.product(*columns))
+    misses = sum(path not in solutions for path in product)
+    assert table.cross_path_rate(a, b) == (misses / len(product) if product else 0.0)
