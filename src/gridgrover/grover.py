@@ -240,23 +240,34 @@ def measure_closed_form(marks: Sequence[int], n: int, times: int, u: float) -> i
 
 class ClosedFormTables(NamedTuple):
     """Sorted marks of k buckets as :func:`measure_closed_form_grid` reads
-    them: row i of ``before`` is ``[-1, marks_i...]`` and of ``after``
-    ``[marks_i..., n_i - 1]``, padded to the longest row."""
+    them, one row per bucket.  Entry b of ``below`` counts the unmarked
+    indices below the b-th mark (0 for b = 0, +inf past the last mark, up
+    to a power-of-two width); entry b of ``first`` is the first index of
+    the b-th unmarked run, the run between the b-th and the (b+1)-th mark,
+    and of ``span`` the offset from there of the (b+1)-th mark (of n_i - 1
+    for the last run), the clamp of a draw inside the run."""
 
-    before: np.ndarray
-    after: np.ndarray
-    count: np.ndarray
+    below: np.ndarray
+    first: np.ndarray
+    span: np.ndarray
+    count: tuple[int, ...]
     size: tuple[int, ...]
 
     @classmethod
     def from_marks(cls, marks: Sequence[Sequence[int]], sizes: Sequence[int]) -> "ClosedFormTables":
-        count = np.array([len(m) for m in marks], dtype=np.int64)
-        before = np.full((count.size, int(count.max()) + 1), -1, dtype=np.int64)
-        after = before.copy()
-        for i, (m, n) in enumerate(zip(marks, sizes)):
-            before[i, 1 : len(m) + 1] = after[i, : len(m)] = m
-            after[i, len(m)] = n - 1
-        return cls(before, after, count, tuple(int(n) for n in sizes))
+        count = tuple(len(m) for m in marks)
+        widest = max(count)
+        probes = 1 << widest.bit_length()
+        below, first, span = [], [], []
+        for m, n in zip(marks, sizes):
+            starts, pad = [0, *(x + 1 for x in m)], [0] * (widest - len(m))
+            # floats: every count is below 2**53, so exact, and +inf is a
+            # probe whose CDF no draw reaches
+            below.append([0, *(x - t for t, x in enumerate(m)), *[math.inf] * (probes - len(m) - 1)])
+            first.append(starts + pad)
+            span.append([x - start for x, start in zip([*m, n - 1], starts)] + pad)
+        runs = np.array([first, span], dtype=np.int64)
+        return cls(np.array(below, dtype=np.float64), runs[0], runs[1], count, tuple(int(n) for n in sizes))
 
 
 def measure_closed_form_grid(
@@ -267,32 +278,32 @@ def measure_closed_form_grid(
     operations, run over arrays.
 
     The class probabilities come from ``math`` once per distinct (bucket,
-    iteration count) (``np.sin`` need not match libm to the last bit), the
-    binary search over the marks makes ``bisect_right``'s probes for all
-    k*B draws in step, and the offset inside an unmarked run is clamped
-    to the run before the cast to int (p_unmarked can be 1e-33).
+    iteration count) (``np.sin`` need not match libm to the last bit).
+    The CDF through the b-th mark, ``b * p_marked + below[b] *
+    p_unmarked``, never falls as b grows (both products and their sum
+    round monotonically), so ``bisect_right`` returns the number of marks
+    whose CDF is at most u.  That number is found bit by bit, in
+    ``max(count).bit_length()`` steps for all k*B draws at once, each
+    probing one more power of two on flat table rows; a probe past a
+    bucket's last mark reads +inf and fails.  The offset inside an
+    unmarked run is clamped to the run before the cast to int
+    (p_unmarked can be 1e-33).
     """
-    k = tables.count.size
+    k = len(tables.count)
     keys = times * k + np.arange(k)
     levels, level_of = np.unique(keys.ravel(), return_inverse=True)
-    counts = tables.count.tolist()
-    probs = np.array([
-        _class_probabilities(counts[i], tables.size[i], j)
+    p_marked, p_unmarked = np.array([
+        _class_probabilities(tables.count[i], tables.size[i], j)
         for j, i in zip(*(a.tolist() for a in np.divmod(levels, k)))
-    ])[level_of.reshape(keys.shape)]
-    p_marked, p_unmarked = probs[..., 0], probs[..., 1]
-    bucket = np.arange(k)
-
-    def cdf(b: np.ndarray) -> np.ndarray:
-        # CDF up to and including the b-th mark, as cdf_through(b - 1)
-        return b * p_marked + (tables.before[bucket, b] - (b - 1)) * p_unmarked
-
-    lo, hi = np.zeros(keys.shape, dtype=np.int64), np.broadcast_to(tables.count, keys.shape)
-    while (open_ := lo < hi).any():
-        mid = (lo + hi) // 2
-        left = u < cdf(np.minimum(mid + 1, tables.count))
-        lo = np.where(open_ & ~left, mid + 1, lo)
-        hi = np.where(open_ & left, mid, hi)
-    start = tables.before[bucket, lo] + 1
-    steps = np.minimum((u - cdf(lo)) / p_unmarked, tables.after[bucket, lo] - start)
-    return start + steps.astype(np.int64)
+    ]).T[:, level_of.reshape(keys.shape)]
+    below = tables.below.ravel()
+    row = np.arange(k) * tables.below.shape[1]
+    marks = np.zeros(keys.shape, dtype=np.int64)
+    for bit in reversed(range(max(tables.count).bit_length())):
+        probe = marks + (1 << bit)
+        passed = probe * p_marked + below[row + probe] * p_unmarked <= u
+        marks = np.where(passed, probe, marks)
+    mass = marks * p_marked + below[row + marks] * p_unmarked
+    run = np.arange(k) * tables.first.shape[1] + marks
+    steps = np.minimum((u - mass) / p_unmarked, tables.span.ravel()[run])
+    return tables.first.ravel()[run] + steps.astype(np.int64)

@@ -25,15 +25,20 @@ blocks of rounds at once: every iteration count of a block comes from
 one vectorised ``integers`` call on a generator seeded with
 ``params.seed``, every measurement uniform from one ``random`` call on a
 second generator jumped ahead of the first, so an outcome does not
-depend on how rounds are cut into blocks.  One call to
+depend on how rounds are cut into blocks.  The draw limits of every
+round depend only on the problem's shape (sizes, ``lam``,
+``strict_paper``), never on its seed or marks, so each shape keeps a
+table of them that grows when a search first reaches past it, up to a
+fixed size, and blocks slice it.  One call to
 :func:`~gridgrover.grover.measure_closed_form_grid` measures all k
 buckets of a block and one global-oracle call judges its paths; the
 ledger charges one query per round up to the first accept.
 
 The marked sets over-approximate the global oracle, so a problem with a
 bucket that has no marks cannot succeed: :func:`run_grid_search` then
-draws only the iteration counts and :func:`exhaustive_search` charges
-its full scan without running it, and neither asks the oracle anything.
+draws only the iteration counts, in full blocks from the first since
+nothing can end it early, and :func:`exhaustive_search` charges its full
+scan without running it; neither asks the oracle anything.
 """
 
 from __future__ import annotations
@@ -41,9 +46,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -132,7 +138,6 @@ class GridProblem:
     marked: Sequence[MarkedSet]
     global_oracle: Callable[[np.ndarray], np.ndarray]
     _sorted_marks: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _tables: ClosedFormTables = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.marked = tuple(self.marked)
@@ -144,7 +149,11 @@ class GridProblem:
                     f"bucket size {ms.size} exceeds the limit 2**53 = {MAX_BUCKET_SIZE}"
                 )
         self._sorted_marks = tuple(tuple(sorted(ms.marked)) for ms in self.marked)
-        self._tables = ClosedFormTables.from_marks(self._sorted_marks, self.sizes)
+
+    @functools.cached_property
+    def _tables(self) -> ClosedFormTables:
+        # built on first use: a search that cannot pass never samples
+        return ClosedFormTables.from_marks(self._sorted_marks, self.sizes)
 
     @property
     def k(self) -> int:
@@ -174,7 +183,8 @@ class ScheduleParams:
 
     ``lam`` must satisfy 1 < lam < 4^k/(4^k - 1); ``None`` picks the
     midpoint default for the problem's k.  ``max_rounds=None`` resolves
-    to 4*ceil(log_lam(max_i sqrt(n_i))) + 64.
+    to 4*ceil(log_lam(max_i sqrt(n_i))) + 64; otherwise it must be an
+    integer (not a bool) of at least 1.
     """
 
     seed: int
@@ -191,6 +201,8 @@ class ScheduleParams:
             )
         if self.max_rounds is None:
             max_rounds = default_max_rounds(problem, lam)
+        elif isinstance(self.max_rounds, bool) or not isinstance(self.max_rounds, numbers.Integral):
+            raise ValueError(f"max_rounds must be an integer, got {self.max_rounds!r}")
         else:
             max_rounds = int(self.max_rounds)
         if max_rounds < 1:
@@ -302,6 +314,83 @@ _FIRST_BLOCK = 32
 _MAX_BLOCK = 1024
 
 
+# Entries of round limits a problem shape keeps: a longer ramp keeps its
+# first rows and every search that runs past them computes the rest.
+_KEPT_LIMITS = 1 << 15
+
+
+class _RoundLimits:
+    """The exclusive ``integers`` bound ``hi + 1`` of every bucket's
+    iteration count, one row per round, for one problem shape.
+
+    The budget m starts at 1 and is multiplied by ``lam`` after every
+    round (``lam**r`` differs in the last bits); bucket i draws up to
+    ceil(m - 1), or, once m > sqrt(n_i), up to its cap ceil(sqrt(n_i)),
+    0 under ``strict_paper``.  ``state`` holds the rows computed so far,
+    a read-only table shared by every search of the shape, with the
+    budget of the round after its last and whether m has passed every
+    sqrt(n_i) there.  The table grows when a search first reaches past
+    it, by that search's block, so no search computes rows past the blocks
+    it draws, and stops growing at ``_KEPT_LIMITS`` entries or once m has
+    passed every sqrt(n_i), after which every round draws under the caps.
+    ``state`` is replaced whole, never changed in place, so searches in
+    several threads each read a consistent one.
+    """
+
+    def __init__(self, sizes: tuple[int, ...], lam: float, strict_paper: bool):
+        self.lam = lam
+        self.roots = np.array([math.sqrt(n) for n in sizes])
+        self.caps = np.array([0 if strict_paper else math.ceil(r) for r in self.roots.tolist()]) + 1
+        self.kept_rows = max(1, _KEPT_LIMITS // len(sizes))
+        table = np.empty((0, len(sizes)), dtype=np.int64)
+        table.setflags(write=False)
+        self.state: tuple[np.ndarray, float, bool] = (table, 1.0, False)
+
+    def _rows(self, m: float, count: int) -> tuple[np.ndarray, float]:
+        """``count`` rows from budget m on, and the budget of the last."""
+        # repeated m *= lam, as round by round: lam**r differs in the last bits
+        budgets = list(itertools.accumulate(itertools.repeat(self.lam, count - 1), operator.mul, initial=m))
+        column = np.array(budgets)[:, None]
+        below_cap = np.ceil(np.minimum(column, self.roots) - 1.0).astype(np.int64) + 1
+        return np.where(column > self.roots, self.caps, below_cap), budgets[-1]
+
+    def _grown(self, rows: int) -> tuple[np.ndarray, float, bool]:
+        """``state``, its table grown toward ``rows`` rows."""
+        table, after, ramped = state = self.state
+        missing = min(rows, self.kept_rows) - len(table)
+        if missing > 0 and not ramped:
+            more, last = self._rows(after, missing)
+            table = np.concatenate([table, more])
+            table.setflags(write=False)
+            self.state = state = (table, last * self.lam, bool(last > self.roots.max()))
+        return state
+
+    def blocks(self, max_rounds: int, block: int) -> Iterator[np.ndarray]:
+        """The rows of rounds 0 to ``max_rounds - 1``, in blocks of
+        ``block`` rounds that double up to ``_MAX_BLOCK``."""
+        done, m = 0, None
+        while done < max_rounds:
+            end = min(done + block, max_rounds)
+            table, after, ramped = self._grown(end)
+            high = table[done:end]
+            if len(high) < end - done:
+                rest = end - max(done, len(table))
+                if ramped:
+                    tail = np.broadcast_to(self.caps, (rest, len(self.caps)))
+                else:  # past the kept rows of a long ramp
+                    tail, last = self._rows(after if m is None else m, rest)
+                    m = last * self.lam
+                high = np.concatenate([high, tail])
+            yield high
+            done, block = end, min(2 * block, _MAX_BLOCK)
+
+
+@functools.lru_cache(maxsize=16)
+def _round_limits(sizes: tuple[int, ...], lam: float, strict_paper: bool) -> _RoundLimits:
+    """The shared :class:`_RoundLimits` of a problem shape."""
+    return _RoundLimits(sizes, lam, strict_paper)
+
+
 def run_grid_search(problem: GridProblem, params: ScheduleParams) -> SearchOutcome:
     """Run rounds with geometrically growing budget until the global
     oracle accepts or ``max_rounds`` is exhausted.
@@ -309,42 +398,35 @@ def run_grid_search(problem: GridProblem, params: ScheduleParams) -> SearchOutco
     Identical (problem, params) give bit-identical outcomes.  The
     iteration counts are ``integers(0, hi + 1)`` draws on
     ``default_rng(params.seed)``, round by round and bucket by bucket
-    (none where hi is 0); the measurement uniforms are ``random()`` draws
-    on a ``Generator`` over that bit generator's ``jumped()`` copy.
+    (none where hi is 0), with ``hi + 1`` sliced from the table of round
+    limits the problem's shape shares; the measurement uniforms are ``random()``
+    draws on a ``Generator`` over that bit generator's ``jumped()`` copy.
     Rounds are drawn in blocks and each block is judged with one
     global-oracle call; the ledger charges one query per round up to and
     including the first accepted one, the paper's query count.  When a
     bucket has no marks no round can pass: the oracle is never asked, no
-    measurement is drawn, and the miss is charged ``max_rounds`` rounds
-    and queries with the iteration counts the rounds would have drawn.
+    measurement is drawn, the rounds are drawn in full blocks, and the
+    miss is charged ``max_rounds`` rounds and queries with the iteration
+    counts the rounds would have drawn.
     """
     lam, max_rounds = params.resolve(problem)
+    limits = _round_limits(problem.sizes, lam, params.strict_paper)
     draws = np.random.default_rng(params.seed)
     measures = None if problem.has_empty_bucket else np.random.Generator(draws.bit_generator.jumped())
-    roots = np.array([math.sqrt(n) for n in problem.sizes])
-    caps = np.array([0 if params.strict_paper else math.ceil(r) for r in roots.tolist()])
-    spent, path = np.zeros(problem.k, dtype=np.int64), None
-    m, done, block = 1.0, 0, _FIRST_BLOCK
-    while done < max_rounds:
-        count = min(block, max_rounds - done)
-        # repeated m *= lam, as round by round: lam**r differs in the last bits
-        budgets = list(itertools.accumulate(itertools.repeat(lam, count - 1), operator.mul, initial=m))
-        column = np.array(budgets)[:, None]
-        below_cap = np.ceil(np.minimum(column, roots) - 1.0).astype(np.int64)
-        hi = np.where(column > roots, caps, below_cap)
-        j, accepted = draws.integers(0, hi + 1), np.empty(0, dtype=np.intp)
+    spent, path, done = np.zeros(problem.k, dtype=np.int64), None, 0
+    # nothing stops a search that cannot pass early: it takes full blocks
+    for high in limits.blocks(max_rounds, _MAX_BLOCK if measures is None else _FIRST_BLOCK):
+        j, accepted = draws.integers(0, high), np.empty(0, dtype=np.intp)
         if measures is not None:
-            paths = measure_closed_form_grid(problem._tables, j, measures.random(hi.shape))
+            paths = measure_closed_form_grid(problem._tables, j, measures.random(high.shape))
             accepted = np.flatnonzero(problem.global_oracle(paths))
         # one query per round, up to and including the first accepted one
-        used = int(accepted[0]) + 1 if accepted.size else count
+        used = int(accepted[0]) + 1 if accepted.size else len(high)
         spent += j[:used].sum(axis=0)
         done += used
         if accepted.size:
             path = tuple(paths[used - 1].tolist())
             break
-        m = budgets[-1] * lam
-        block = min(2 * block, _MAX_BLOCK)
     ledger = QueryLedger(spent.tolist(), global_oracle_calls=done, rounds=done)
     return SearchOutcome(path is not None, path, done, ledger)
 

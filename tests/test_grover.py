@@ -171,7 +171,7 @@ def sampler_grids(draw):
     buckets = []
     for _ in range(k):
         n = draw(st.one_of(st.integers(1, 64), st.integers(1, 2**53)))
-        count = draw(st.integers(0, min(n, 12)))
+        count = draw(st.integers(0, min(n, 64)))
         if count == n:
             marks = list(range(n))
         else:
@@ -196,6 +196,20 @@ def sampler_grids(draw):
     [(8, [2, 5]), (5, []), (4, [0, 1, 2, 3]), (2**53, [0, 2**52, 2**53 - 1])],
     [[1, 0, 2, 7], [1, 3, 0, 300]],
     [[0.999, 0.2, 0.7, 0.5], [0.3, 0.99, 0.1, 0.9999]],
+))
+# at most 1, 8 and 16 marks: the search over the marks takes 1, 4 and 5
+# steps, and a probe past a bucket's last mark must fail; draws past the
+# last mark, in the first run, and in all-marked buckets
+@example(([(9, [4]), (5, [])], [[1, 0], [0, 0], [2, 1]], [[0.999, 0.5], [0.0, 0.99], [0.5, 0.2]]))
+@example((
+    [(64, list(range(3, 64, 8))), (8, list(range(8))), (1, [0])],
+    [[3, 0, 0], [0, 2, 5], [1, 1, 1]],
+    [[0.9999, 0.97, 0.3], [0.001, 0.0, 0.9], [0.5, 0.99, 0.0]],
+))
+@example((
+    [(2**53, [2**49 * t for t in range(1, 17)]), (16, list(range(16)))],
+    [[1, 0], [7, 2], [0, 3]],
+    [[0.99999, 0.97], [0.0001, 0.5], [0.5, 0.0]],
 ))
 def test_array_sampler_matches_scalar_bit_for_bit(case):
     buckets, times, u = case

@@ -1,11 +1,15 @@
 import functools
 import itertools
 import math
+import sys
+import threading
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gridgrover.bisection as bisection
 import gridgrover.search as search
@@ -57,6 +61,19 @@ def test_schedule_validation():
     lam, rounds = ScheduleParams(seed=0).resolve(prob)
     assert lam == default_lambda(1)
     assert rounds == default_max_rounds(prob, lam)
+    _, rounds = ScheduleParams(seed=0, max_rounds=np.int64(7)).resolve(prob)
+    assert rounds == 7 and type(rounds) is int
+
+
+@pytest.mark.parametrize(
+    "max_rounds",
+    [2.5, 3.0, np.float64(3.0), True, False, "3", np.bool_(True)],
+    ids=["float", "whole-float", "numpy-float", "True", "False", "str", "numpy-bool"],
+)
+def test_schedule_refuses_a_round_budget_that_is_not_an_integer(max_rounds):
+    prob = GridProblem.product([MarkedSet.from_indices(4, [1])])
+    with pytest.raises(ValueError, match="max_rounds must be an integer"):
+        ScheduleParams(seed=0, max_rounds=max_rounds).resolve(prob)
 
 
 def test_unit_budget_round_is_classical_sampling():
@@ -94,16 +111,20 @@ def _streams(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
     return draws, np.random.Generator(draws.bit_generator.jumped())
 
 
+def _hi(n: int, m: float, strict_paper: bool) -> int:
+    """The largest iteration count a bucket of size n draws at budget m."""
+    root = math.sqrt(n)
+    if m > root:
+        return 0 if strict_paper else math.ceil(root)
+    return math.ceil(m - 1)
+
+
 def _replayed_round(problem: GridProblem, m: float, draws, measures, strict_paper: bool):
     """One round as scalar calls: per bucket, an iteration count on
     ``draws`` (none when the limit is 0) and a uniform on ``measures``."""
     path, iterations = [], []
     for ms in problem.marked:
-        root = math.sqrt(ms.size)
-        if m > root:
-            hi = 0 if strict_paper else math.ceil(root)
-        else:
-            hi = math.ceil(m - 1)
+        hi = _hi(ms.size, m, strict_paper)
         j = int(draws.integers(0, hi + 1)) if hi > 0 else 0
         path.append(measure_closed_form(sorted(ms.marked), ms.size, j, measures.random()))
         iterations.append(j)
@@ -276,11 +297,7 @@ def _reference_register(ms: MarkedSet, times: int):
 
 def _reference_round(ms, m, rng, strict_paper):
     """One-bucket run_round, measured on the statevector instead of the closed form."""
-    root = math.sqrt(ms.size)
-    if m > root:
-        hi = 0 if strict_paper else math.ceil(root)
-    else:
-        hi = math.ceil(m - 1)
+    hi = _hi(ms.size, m, strict_paper)
     j = int(rng.integers(0, hi + 1)) if hi > 0 else 0
     return (int(measure(_reference_register(ms, j), rng)),), (j,)
 
@@ -487,3 +504,180 @@ def test_outcomes_do_not_depend_on_the_block_size(monkeypatch, first, cap):
     monkeypatch.setattr(search, "_FIRST_BLOCK", first)
     monkeypatch.setattr(search, "_MAX_BLOCK", cap)
     assert [run_grid_search(*run) for run in runs] == want
+
+
+def _replayed_limits(sizes, lam: float, strict_paper: bool):
+    """``hi + 1`` per bucket for round after round, by the budget rule
+    applied round by round (``m *= lam``)."""
+    m = 1.0
+    while True:
+        yield [_hi(n, m, strict_paper) + 1 for n in sizes]
+        m *= lam
+
+
+@st.composite
+def _schedule_shapes(draw):
+    k = draw(st.integers(1, 4))
+    size = st.one_of(st.just(1), st.integers(1, 64), st.just(2**53), st.integers(1, 2**53))
+    sizes = tuple(draw(st.lists(size, min_size=k, max_size=k)))
+    lam = draw(st.floats(1.0, lambda_upper_bound(k), exclude_min=True, exclude_max=True))
+    # rounds until m exceeds every sqrt(n_i); only a short ramp is replayed whole
+    ramp, m, top = 0, 1.0, max(math.sqrt(n) for n in sizes)
+    while m <= top and ramp <= 2000:
+        ramp, m = ramp + 1, m * lam
+    near = [ramp - 1, ramp, ramp + 1, ramp + 2, 3 * ramp] if ramp <= 2000 else []
+    max_rounds = draw(st.one_of(st.integers(1, 2000), st.sampled_from([r for r in near if r >= 1] or [1])))
+    # rows kept below, at and above the rounds run
+    kept = draw(st.one_of(st.integers(1, 64), st.just(max_rounds), st.just(search._KEPT_LIMITS // k)))
+    first = draw(st.sampled_from([1, 3, 32, 1024]))
+    return sizes, lam, max_rounds, draw(st.booleans()), kept, first
+
+
+@settings(max_examples=200, deadline=None)
+@given(_schedule_shapes())
+@example(((1,), 7 / 6, 5, False, 2, 32))
+@example(((1, 64, 2**53), default_lambda(3), 10_000, False, 10_922, 32))
+@example(((1, 64, 2**53), default_lambda(3), 10_000, True, 100, 1024))
+@example(((2**53,), 1.3, 3, True, 1, 1))
+@example(((9, 16), 31 / 30, 61, False, 40, 3))  # m passes 3 then 4 on the ramp
+def test_round_limits_replay_the_budget_rule(shape):
+    sizes, lam, max_rounds, strict, kept, first = shape
+    limits = search._RoundLimits(sizes, lam, strict)
+    limits.kept_rows = kept
+    for _ in range(2):  # a second search reads the rows the first kept
+        blocks = list(limits.blocks(max_rounds, first))
+        got = np.concatenate(blocks)
+        assert got.dtype == np.int64 and got.shape == (max_rounds, len(sizes))
+        assert got.tolist() == list(itertools.islice(_replayed_limits(sizes, lam, strict), max_rounds))
+        assert [len(b) for b in blocks[:-1]] == [min(first << i, 1024) for i in range(len(blocks) - 1)]
+    table, _, ramped = limits.state
+    assert len(table) <= min(kept, max_rounds)
+    if len(table) < min(kept, max_rounds):
+        # the table stops short only where m has passed every sqrt(n_i)
+        assert ramped
+        assert table[-1].tolist() == [1 if strict else math.ceil(math.sqrt(n)) + 1 for n in sizes]
+    with pytest.raises(ValueError):
+        table[..., 0] = 2
+
+
+def test_round_limits_stop_at_max_rounds_before_a_long_ramp():
+    # the ramp to sqrt(2**40) would take about 1.4e13 rounds at this lam
+    problem = GridProblem.product([MarkedSet.from_indices(2**40, [5])])
+    search._round_limits.cache_clear()
+    out = run_grid_search(problem, ScheduleParams(seed=1, lam=1 + 1e-12, max_rounds=50))
+    assert out.rounds_used == 50
+    limits = search._round_limits(problem.sizes, 1 + 1e-12, False)
+    assert limits.state[0][:, 0].tolist() == [1] + [2] * 49
+
+
+def test_early_hit_on_a_long_ramp_computes_only_its_rounds():
+    # half the indices marked: the first rounds hit, while the default
+    # max_rounds at this lam is about 2.8e9, the ramp to sqrt(4) 6.9e8 rounds
+    problem = GridProblem.product([MarkedSet.from_indices(4, [0, 3])])
+    params = ScheduleParams(seed=3, lam=1 + 1e-9)
+    search._round_limits.cache_clear()
+    tracemalloc.start()
+    try:
+        began = time.perf_counter()
+        out = run_grid_search(problem, params)
+        took = time.perf_counter() - began
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert params.resolve(problem)[1] > 2 * 10**9
+    assert out.success and out == _assert_matches_replay(problem, params)
+    assert len(search._round_limits(problem.sizes, 1 + 1e-9, False).state[0]) == search._FIRST_BLOCK
+    assert peak < 1 << 20 and took < 5.0
+
+
+def test_search_past_the_kept_rows_matches_the_replay():
+    # a ramp of about 2.1e9 rounds: a search keeps 10,922 rows of the
+    # shape and computes the rest of its 40,000 rounds itself
+    problem = GridProblem.product(_buckets((64, 32, 16), (1, 0, 2)))
+    params = ScheduleParams(seed=11, lam=1 + 1e-9, max_rounds=40_000)
+    search._round_limits.cache_clear()
+    tracemalloc.start()
+    try:
+        out = run_grid_search(problem, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert len(search._round_limits(problem.sizes, 1 + 1e-9, False).state[0]) == search._KEPT_LIMITS // 3
+    high = np.array(list(itertools.islice(_replayed_limits(problem.sizes, 1 + 1e-9, False), 40_000)))
+    draws, _ = _streams(11)
+    want = SearchOutcome(False, None, 40_000, QueryLedger(draws.integers(0, high).sum(axis=0).tolist(), 40_000, 40_000))
+    # a second search of the shape starts from the kept rows
+    assert out == want == run_grid_search(problem, params)
+
+
+def test_outcomes_do_not_depend_on_the_rows_kept(monkeypatch):
+    cases = [
+        (GridProblem.product(_buckets((40, 9, 25, 16), (3, 1, 2, 16))), {}),
+        (GridProblem.product(_buckets((64, 32), (0, 1))), {"max_rounds": 3000}),
+        (GridProblem.product(_buckets((64, 64, 64), (1, 1, 1))), {"strict_paper": True}),
+        (_rejecting((16, 8)), {"max_rounds": 700}),
+    ]
+    runs = [(problem, ScheduleParams(seed=seed, **extra)) for problem, extra in cases for seed in range(6)]
+    want = [run_grid_search(*run) for run in runs]
+    for kept in (1, 5, 100):
+        monkeypatch.setattr(search, "_KEPT_LIMITS", kept)
+        search._round_limits.cache_clear()
+        assert [run_grid_search(*run) for run in runs] == want
+    search._round_limits.cache_clear()
+
+
+def test_search_that_cannot_pass_keeps_a_flat_memory_peak():
+    problem = GridProblem.product(_buckets((64, 32, 16), (1, 0, 2)))
+    params = ScheduleParams(seed=7, max_rounds=10**6)
+    search._round_limits.cache_clear()
+    tracemalloc.start()
+    try:
+        out = run_grid_search(problem, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a (10**6, 3) int64 array alone would take 24 MB
+    assert peak < 1 << 20
+    # replay: the ramp round by round, then the caps in chunks of 10**5
+    lam, _ = params.resolve(problem)
+    ramp = []
+    for row in _replayed_limits(problem.sizes, lam, False):
+        ramp.append(row)
+        if row == [9, 7, 5]:  # ceil(sqrt(n)) + 1: m has passed every root
+            break
+    draws, _ = _streams(7)
+    spent = draws.integers(0, np.array(ramp)).sum(axis=0)
+    for first in range(len(ramp), 10**6, 10**5):
+        count = min(10**5, 10**6 - first)
+        spent += draws.integers(0, np.broadcast_to(ramp[-1], (count, 3))).sum(axis=0)
+    assert out == SearchOutcome(False, None, 10**6, QueryLedger(spent.tolist(), 10**6, 10**6))
+
+
+
+def test_searches_in_threads_share_a_shape_safely(monkeypatch):
+    # threads that grow one shape's table at once must each read a whole,
+    # consistent state: a lost or doubled block would change the draws
+    sizes = [(16, 8), (9, 4), (25,), (4, 4, 4), (49,), (36, 2), (8,), (5, 5)]
+    runs = [(_rejecting(shape), ScheduleParams(seed=1, max_rounds=230)) for shape in sizes]
+    want = [run_grid_search(*run) for run in runs]
+    monkeypatch.setattr(search, "_KEPT_LIMITS", 1000)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(40):
+            search._round_limits.cache_clear()
+            got = [[] for _ in range(6)]
+            threads = [
+                threading.Thread(target=lambda out=out: out.extend(run_grid_search(*run) for run in runs))
+                for out in got
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert got == [want] * 6
+    finally:
+        sys.setswitchinterval(interval)
+        search._round_limits.cache_clear()
