@@ -43,7 +43,6 @@ from .grover import (
     grover_iterate,
     invert_about_mean,
     measure,
-    measure_closed_form,
     success_probability,
     uniform_init,
 )

@@ -15,8 +15,8 @@ computed in :func:`theorem_bounds`.
 The trial sweeps that check these closed forms by simulation,
 :func:`empirical_vs_closed_form` and :func:`runtime_trials`, split their
 trials into ``jobs`` contiguous ranges run on a process pool.  Every
-trial draws from its own generator, derived from the master seed and the
-trial's indices, so the results do not depend on ``jobs``.
+block of trials draws from its own generator, derived from the master
+seed and the block's indices, so the results do not depend on ``jobs``.
 """
 
 from __future__ import annotations
@@ -34,8 +34,10 @@ from .search import (
     GridProblem,
     ScheduleParams,
     SearchOutcome,
-    _draw_round,
+    _draw_block,
+    _draw_limits,
     derive_seed,
+    lambda_upper_bound,
     run_grid_search,
     trial_rng,
 )
@@ -144,9 +146,8 @@ def theorem_bounds(stats: Sequence[BucketStats], lam: float) -> RuntimeBounds:
     if not stats:
         raise ValueError("need at least one bucket")
     k = len(stats)
-    four_k = 4.0**k
-    if not 1.0 < lam < four_k / (four_k - 1.0):
-        raise ValueError(f"growth factor {lam} outside (1, {four_k / (four_k - 1.0)}) for k={k}")
+    if not 1.0 < lam < lambda_upper_bound(k):
+        raise ValueError(f"growth factor {lam} outside (1, {lambda_upper_bound(k)}) for k={k}")
     for s in stats:
         if s.marked_count > 0.75 * s.n:
             raise ValueError(
@@ -176,27 +177,36 @@ class LemmaCheckRow:
         return asdict(self)
 
 
-def _over_trials(worker: Callable, args: tuple, trials: int, jobs: int) -> list:
-    """``worker(*args, lo, hi)`` for ``jobs`` contiguous ranges [lo, hi)
-    covering range(trials), in range order; with ``jobs`` > 1 they run on
-    a process pool, so ``worker`` and ``args`` must pickle."""
-    jobs = max(1, min(jobs, trials))
-    bounds = [i * trials // jobs for i in range(jobs + 1)]
+def _over_trials(worker: Callable, args: tuple, units: int, jobs: int) -> list:
+    """``worker(*args, lo, hi)`` for at most ``jobs`` contiguous ranges
+    [lo, hi) of range(units), in order, on a process pool when ``jobs`` > 1
+    (so they must pickle); each unit, a block of lemma trials or one
+    runtime trial, has its own generator, so the split changes nothing."""
+    jobs = max(1, min(jobs, units))
+    bounds = [i * units // jobs for i in range(jobs + 1)]
     call = functools.partial(worker, *args)
     if jobs == 1:
-        return [call(0, trials)]
+        return [call(0, units)]
     with futures.ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(call, bounds[:-1], bounds[1:]))
 
 
-def _lemma_hits(problem: GridProblem, m_values: list[int], seed: int, lo: int, hi: int) -> list[int]:
-    """Accepted single rounds per m over trials lo..hi-1: each trial draws
-    its path as :func:`~gridgrover.search.run_round` would, and each m's
-    paths are judged with one global-oracle call."""
-    hits = []
-    for row, m in enumerate(m_values):
-        paths = [_draw_round(problem, float(m), trial_rng(seed, row, t))[0] for t in range(lo, hi)]
-        hits.append(int(problem.global_oracle(np.array(paths, dtype=np.int64)).sum()))
+# Trials of a lemma row drawn from one generator and sampled at once.
+_LEMMA_BLOCK = 4096
+
+
+def _lemma_hits(
+    problem: GridProblem, m_values: list[int], seed: int, trials: int, lo: int, hi: int
+) -> list[int]:
+    """Accepted single rounds per m over trial blocks lo..hi-1: block b of
+    row r is one block of rounds, drawn as :func:`~gridgrover.search.run_round`
+    draws its one, on ``trial_rng(seed, r, b)`` and judged in one call."""
+    hits = [0] * len(m_values)
+    for row, high in enumerate(_draw_limits(m_values, problem.sizes, False)):
+        for block in range(lo, hi):
+            rounds = min(_LEMMA_BLOCK, trials - block * _LEMMA_BLOCK)
+            paths = _draw_block(problem, high, trial_rng(seed, row, block), rounds)[1]
+            hits[row] += int(problem.global_oracle(paths).sum())
     return hits
 
 
@@ -217,9 +227,10 @@ def empirical_vs_closed_form(
     set {0,...,m-1} is exactly the one the closed form averages over;
     all m are checked before any trial runs.
 
-    ``jobs`` worker processes each take a contiguous range of trials.
-    Trial t of row r draws from its own generator derived from
-    (seed, r, t), so the frequencies are the same for every ``jobs``.
+    Each m's trials are cut into blocks of ``_LEMMA_BLOCK`` and ``jobs``
+    worker processes each take a contiguous range of blocks.  Block b of
+    row r draws from its own generator derived from (seed, r, b), so the
+    frequencies are the same for every ``jobs``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -234,20 +245,13 @@ def empirical_vs_closed_form(
                 "no longer match the closed form"
             )
     m_values = [int(m) for m in m_values]
-    chunks = _over_trials(_lemma_hits, (problem, m_values, seed), trials, jobs)
-    rows: list[LemmaCheckRow] = []
+    blocks = -(-trials // _LEMMA_BLOCK)
+    chunks = _over_trials(_lemma_hits, (problem, m_values, seed, trials), blocks, jobs)
+    rows = []
     for m, closed, *hits in zip(m_values, closed_forms, *chunks):
-        empirical = sum(hits) / trials
-        sigma = math.sqrt(closed * (1.0 - closed) / trials)
-        rows.append(
-            LemmaCheckRow(
-                m=m,
-                closed_form=closed,
-                empirical=empirical,
-                sigma=sigma,
-                within_band=abs(empirical - closed) <= band_sigmas * sigma,
-            )
-        )
+        empirical, sigma = sum(hits) / trials, math.sqrt(closed * (1.0 - closed) / trials)
+        within = abs(empirical - closed) <= band_sigmas * sigma
+        rows.append(LemmaCheckRow(m, closed, empirical, sigma, within))
     return rows
 
 

@@ -8,20 +8,18 @@ leaves the real span and complex amplitudes are unnecessary.
 Closed-form amplitudes after ``j`` iterations are available through
 :func:`analytic_amplitudes` for the non-degenerate case ``0 < M < n``;
 the statevector path handles the degenerate marked counts exactly.
-:func:`measure_closed_form` samples the same measurement distribution
-without building the register, one draw at a time as a single round
-(:func:`~gridgrover.search.run_round`) needs it;
-:func:`measure_closed_form_grid`, its array form and bit for bit the
-same, samples all buckets of a block of rounds of
-:func:`~gridgrover.search.run_grid_search` in one call.  The
-statevector maps stay as the reference both are tested against.
+:func:`measure_closed_form_grid` samples the same measurement
+distribution without building the register, for all buckets of a block
+of rounds in one call: the one sampler behind a single round
+(:func:`~gridgrover.search.run_round`), a block of rounds of
+:func:`~gridgrover.search.run_grid_search` and the lemma sweep.  The
+statevector maps stay as the reference it is tested against.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
@@ -40,7 +38,6 @@ __all__ = [
     "analytic_amplitudes",
     "success_probability",
     "measure",
-    "measure_closed_form",
     "ClosedFormTables",
     "measure_closed_form_grid",
 ]
@@ -212,32 +209,6 @@ def _class_probabilities(count: int, n: int, times: int) -> tuple[float, float]:
     return 1.0 / n, 1.0 / n
 
 
-def measure_closed_form(marks: Sequence[int], n: int, times: int, u: float) -> int:
-    """Index that ``measure(grover_iterate(uniform_init(n), marked, times))``
-    returns for the uniform draw ``u``, without building the register.
-
-    ``marks`` are the marked indices in increasing order.  After ``times``
-    iterations every marked index has probability sin^2((2j+1) theta)/M
-    and every unmarked one cos^2((2j+1) theta)/(n-M) (uniform 1/n when
-    M is 0 or n), so the CDF in index order is piecewise linear between
-    marks: a binary search over the marks finds the unmarked run holding
-    ``u`` and a division finds the index inside it, in O(log M).
-    """
-    count = len(marks)
-    p_marked, p_unmarked = _class_probabilities(count, n, times)
-
-    def cdf_through(t: int) -> float:
-        # CDF up to and including the t-th mark
-        return (t + 1) * p_marked + (marks[t] - t) * p_unmarked
-
-    # marks whose cumulative mass is already <= u lie below the draw
-    below = bisect_right(range(count), u, key=cdf_through)
-    start, mass = (marks[below - 1] + 1, cdf_through(below - 1)) if below else (0, 0.0)
-    last = marks[below] if below < count else n - 1
-    # p_unmarked > 0: the cosine of a nonzero double is never exactly 0
-    return min(start + int((u - mass) / p_unmarked), last)
-
-
 class ClosedFormTables(NamedTuple):
     """Sorted marks of k buckets as :func:`measure_closed_form_grid` reads
     them, one row per bucket.  Entry b of ``below`` counts the unmarked
@@ -273,21 +244,22 @@ class ClosedFormTables(NamedTuple):
 def measure_closed_form_grid(
     tables: ClosedFormTables, times: np.ndarray, u: np.ndarray
 ) -> np.ndarray:
-    """:func:`measure_closed_form` for every row r and bucket i of the
-    ``(B, k)`` arrays ``times`` and ``u``, bit for bit: the same float
-    operations, run over arrays.
+    """Index that :func:`measure` of the register t Grover iterations from
+    uniform would hold returns for the uniform draw u, for every bucket i
+    and row of the ``(B, k)`` arrays ``times`` (t) and ``u``.
 
-    The class probabilities come from ``math`` once per distinct (bucket,
-    iteration count) (``np.sin`` need not match libm to the last bit).
+    After t iterations every marked index has probability
+    sin^2((2t+1) theta)/M and every unmarked one cos^2((2t+1) theta)/(n-M)
+    (uniform 1/n when M is 0 or n), computed with ``math`` once per
+    distinct (bucket, t) (``np.sin`` need not match libm to the last bit).
     The CDF through the b-th mark, ``b * p_marked + below[b] *
     p_unmarked``, never falls as b grows (both products and their sum
-    round monotonically), so ``bisect_right`` returns the number of marks
-    whose CDF is at most u.  That number is found bit by bit, in
-    ``max(count).bit_length()`` steps for all k*B draws at once, each
-    probing one more power of two on flat table rows; a probe past a
-    bucket's last mark reads +inf and fails.  The offset inside an
-    unmarked run is clamped to the run before the cast to int
-    (p_unmarked can be 1e-33).
+    round monotonically), so the number of marks whose CDF is at most u
+    is found bit by bit, in ``max(count).bit_length()`` steps for all k*B
+    draws at once; a probe past a bucket's last mark reads +inf and
+    fails.  A division then finds the index inside the unmarked run after
+    those marks, clamped to the run before the cast to int (p_unmarked
+    can be 1e-33).
     """
     k = len(tables.count)
     keys = times * k + np.arange(k)

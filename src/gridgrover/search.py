@@ -6,12 +6,12 @@ register that j Grover iterations from uniform would hold; the global
 oracle, a batch predicate over a ``(B, k)`` int64 array of paths, one
 per row, accepts or rejects the assembled index tuples.  The
 measurement is sampled from its closed form
-(:func:`~gridgrover.grover.measure_closed_form`): after j iterations the
-marked indices share one probability and the unmarked ones another, so
-no statevector is built and a draw costs O(log M) whatever the bucket
-size.  The iteration budget ``m`` starts at 1 and grows geometrically by
-a factor ``lam`` after every failed round, which handles unknown marked
-counts without estimating them.
+(:func:`~gridgrover.grover.measure_closed_form_grid`): after j
+iterations the marked indices share one probability and the unmarked
+ones another, so no statevector is built and a draw costs O(log M)
+whatever the bucket size.  The iteration budget ``m`` starts at 1 and
+grows geometrically by a factor ``lam`` after every failed round, which
+handles unknown marked counts without estimating them.
 
 Draws use the inclusive range ``{0, ..., ceil(m-1)}``.  Once ``m``
 exceeds ``sqrt(n_i)`` the draw for bucket ``i`` is capped at
@@ -19,10 +19,11 @@ exceeds ``sqrt(n_i)`` the draw for bucket ``i`` is capped at
 overshooting; ``strict_paper=True`` switches to the conservative variant
 that leaves such buckets uniform (``j_i = 0``).
 
-:func:`run_round` plays one round with scalar calls on one ``Generator``
-and judges its path as a batch of one.  :func:`run_grid_search` plays
-blocks of rounds at once: every iteration count of a block comes from
-one vectorised ``integers`` call on a generator seeded with
+:func:`run_round` plays one round as a block of one on one ``Generator``,
+k iteration counts in one call and k uniforms in the next, and judges
+its path as a batch of one.  :func:`run_grid_search` plays blocks of
+rounds at once: every iteration count of a block comes from one
+vectorised ``integers`` call on a generator seeded with
 ``params.seed``, every measurement uniform from one ``random`` call on a
 second generator jumped ahead of the first, so an outcome does not
 depend on how rounds are cut into blocks.  The draw limits of every
@@ -48,12 +49,12 @@ import itertools
 import math
 import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .grover import ClosedFormTables, MarkedSet, measure_closed_form, measure_closed_form_grid
+from .grover import ClosedFormTables, MarkedSet, measure_closed_form_grid
 # Unused here: the traced replay in perfbench/tracing.py patches these
 # three names on this module.
 from .grover import apply_oracle, invert_about_mean, uniform_init  # noqa: F401
@@ -92,7 +93,7 @@ def lambda_upper_bound(k: int) -> float:
 
 
 def trial_rng(seed: int, *path: int) -> np.random.Generator:
-    """Generator for one trial, derived from a master seed and indices.
+    """Generator for one trial or block of trials, from a seed and indices.
 
     Derivation depends only on (seed, path), so batches of trials give
     identical results no matter how they are split across workers.
@@ -137,7 +138,6 @@ class GridProblem:
 
     marked: Sequence[MarkedSet]
     global_oracle: Callable[[np.ndarray], np.ndarray]
-    _sorted_marks: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.marked = tuple(self.marked)
@@ -148,12 +148,11 @@ class GridProblem:
                 raise ValueError(
                     f"bucket size {ms.size} exceeds the limit 2**53 = {MAX_BUCKET_SIZE}"
                 )
-        self._sorted_marks = tuple(tuple(sorted(ms.marked)) for ms in self.marked)
 
     @functools.cached_property
     def _tables(self) -> ClosedFormTables:
         # built on first use: a search that cannot pass never samples
-        return ClosedFormTables.from_marks(self._sorted_marks, self.sizes)
+        return ClosedFormTables.from_marks([sorted(ms.marked) for ms in self.marked], self.sizes)
 
     @property
     def k(self) -> int:
@@ -166,7 +165,7 @@ class GridProblem:
     @property
     def has_empty_bucket(self) -> bool:
         """Whether some bucket has no marks, so that no path can pass."""
-        return not all(self._sorted_marks)
+        return not all(ms.marked for ms in self.marked)
 
     @classmethod
     def product(cls, marked_sets: Sequence[MarkedSet]) -> "GridProblem":
@@ -258,36 +257,35 @@ def run_round(
     rng: np.random.Generator,
     strict_paper: bool = False,
 ) -> RoundResult:
-    """Amplify and measure every bucket once at budget ``m``.
+    """Amplify and measure every bucket once at budget ``m`` (``+inf``
+    caps every bucket) as a block of one round: the k iteration counts
+    under :func:`_draw_limits` in one ``integers`` call on ``rng``, then
+    the k uniforms in one ``random`` call, sampled in closed form; the
+    path is judged as a one-row batch."""
+    if math.isnan(m) or m < 1.0:
+        raise ValueError(f"iteration budget m must be a number >= 1 or +inf, got {m!r}")
+    j, paths = _draw_block(problem, _draw_limits([m], problem.sizes, strict_paper), rng, 1)
+    return RoundResult(tuple(paths[0].tolist()), tuple(j[0].tolist()), bool(problem.global_oracle(paths)[0]))
 
-    For each bucket: draw j uniformly from {0, ..., ceil(m-1)} (capped
-    at ceil(sqrt(n_i)) once m > sqrt(n_i), or forced to 0 under
-    ``strict_paper``), then measure the register j Grover iterations
-    from uniform would hold, sampled from its closed form; judge the
-    path as a one-row batch.
-    """
-    path, draws = _draw_round(problem, m, rng, strict_paper)
-    return RoundResult(path, draws, bool(problem.global_oracle(np.array([path], dtype=np.int64))[0]))
+
+def _draw_limits(budgets: Sequence[float], sizes: Sequence[int], strict_paper: bool) -> np.ndarray:
+    """The exclusive ``integers`` bound ``hi + 1`` of every bucket's
+    iteration count, one row per budget m: hi is ceil(m - 1), or, once
+    m > sqrt(n_i), the cap ceil(sqrt(n_i)), 0 under ``strict_paper``."""
+    roots = np.sqrt(np.array(sizes, dtype=np.float64))
+    column = np.array(budgets, dtype=np.float64)[:, None]
+    below_cap = np.ceil(np.minimum(column, roots) - 1.0).astype(np.int64) + 1
+    return np.where(column > roots, 1 if strict_paper else np.ceil(roots).astype(np.int64) + 1, below_cap)
 
 
-def _draw_round(
-    problem: GridProblem, m: float, rng: np.random.Generator, strict_paper: bool = False
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The (path, iterations) of one :func:`run_round`, without the verdict."""
-    if m < 1.0:
-        raise ValueError("iteration budget m must be >= 1")
-    draws: list[int] = []
-    outcome: list[int] = []
-    for marks, n in zip(problem._sorted_marks, problem.sizes):
-        root = math.sqrt(n)
-        if m > root:
-            hi = 0 if strict_paper else math.ceil(root)
-        else:
-            hi = math.ceil(m - 1)
-        j = int(rng.integers(0, hi + 1)) if hi > 0 else 0
-        outcome.append(measure_closed_form(marks, n, j, rng.random()))
-        draws.append(j)
-    return tuple(outcome), tuple(draws)
+def _draw_block(
+    problem: GridProblem, high: np.ndarray, rng: np.random.Generator, rounds: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(rounds, k)`` iteration counts and paths of ``rounds`` rounds
+    under the bounds ``high``: the counts from one ``integers`` call on
+    ``rng`` (none drawn where a bound is 1), then the uniforms from one."""
+    j = rng.integers(0, high, size=(rounds, problem.k))
+    return j, measure_closed_form_grid(problem._tables, j, rng.random(j.shape))
 
 
 @dataclass(frozen=True)
@@ -321,26 +319,25 @@ _KEPT_LIMITS = 1 << 15
 
 class _RoundLimits:
     """The exclusive ``integers`` bound ``hi + 1`` of every bucket's
-    iteration count, one row per round, for one problem shape.
+    iteration count, one row per round, for one problem shape: the
+    :func:`_draw_limits` of budgets m that start at 1 and are multiplied
+    by ``lam`` after every round (``lam**r`` differs in the last bits).
 
-    The budget m starts at 1 and is multiplied by ``lam`` after every
-    round (``lam**r`` differs in the last bits); bucket i draws up to
-    ceil(m - 1), or, once m > sqrt(n_i), up to its cap ceil(sqrt(n_i)),
-    0 under ``strict_paper``.  ``state`` holds the rows computed so far,
-    a read-only table shared by every search of the shape, with the
-    budget of the round after its last and whether m has passed every
-    sqrt(n_i) there.  The table grows when a search first reaches past
-    it, by that search's block, so no search computes rows past the blocks
-    it draws, and stops growing at ``_KEPT_LIMITS`` entries or once m has
-    passed every sqrt(n_i), after which every round draws under the caps.
-    ``state`` is replaced whole, never changed in place, so searches in
-    several threads each read a consistent one.
+    ``state`` holds the rows computed so far, a read-only table shared by
+    every search of the shape, with the budget of the round after its
+    last and whether m has passed every sqrt(n_i) there.  The table grows
+    when a search first reaches past it, by that search's block, so no
+    search computes rows past the blocks it draws, and stops growing at
+    ``_KEPT_LIMITS`` entries or once m has passed every sqrt(n_i), after
+    which every round draws under the caps.  ``state`` is replaced whole,
+    never changed in place, so searches in several threads each read a
+    consistent one.
     """
 
     def __init__(self, sizes: tuple[int, ...], lam: float, strict_paper: bool):
-        self.lam = lam
-        self.roots = np.array([math.sqrt(n) for n in sizes])
-        self.caps = np.array([0 if strict_paper else math.ceil(r) for r in self.roots.tolist()]) + 1
+        self.sizes, self.lam, self.strict_paper = sizes, lam, strict_paper
+        self.top = max(math.sqrt(n) for n in sizes)
+        self.caps = _draw_limits([math.inf], sizes, strict_paper)[0]
         self.kept_rows = max(1, _KEPT_LIMITS // len(sizes))
         table = np.empty((0, len(sizes)), dtype=np.int64)
         table.setflags(write=False)
@@ -350,9 +347,7 @@ class _RoundLimits:
         """``count`` rows from budget m on, and the budget of the last."""
         # repeated m *= lam, as round by round: lam**r differs in the last bits
         budgets = list(itertools.accumulate(itertools.repeat(self.lam, count - 1), operator.mul, initial=m))
-        column = np.array(budgets)[:, None]
-        below_cap = np.ceil(np.minimum(column, self.roots) - 1.0).astype(np.int64) + 1
-        return np.where(column > self.roots, self.caps, below_cap), budgets[-1]
+        return _draw_limits(budgets, self.sizes, self.strict_paper), budgets[-1]
 
     def _grown(self, rows: int) -> tuple[np.ndarray, float, bool]:
         """``state``, its table grown toward ``rows`` rows."""
@@ -362,7 +357,7 @@ class _RoundLimits:
             more, last = self._rows(after, missing)
             table = np.concatenate([table, more])
             table.setflags(write=False)
-            self.state = state = (table, last * self.lam, bool(last > self.roots.max()))
+            self.state = state = (table, last * self.lam, bool(last > self.top))
         return state
 
     def blocks(self, max_rounds: int, block: int) -> Iterator[np.ndarray]:

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import gridgrover.analysis as analysis
 from gridgrover import (
     BucketStats,
     GridProblem,
@@ -18,7 +19,9 @@ from gridgrover import (
     stats_from_problem,
     theorem_bounds,
     trig_identity_residual,
+    trial_rng,
 )
+from reference_sampler import measure_closed_form
 
 
 def test_single_bucket_frozen_value():
@@ -138,6 +141,58 @@ def test_empirical_is_batch_invariant():
     a = empirical_vs_closed_form(prob, [1, 2, 3], trials=501, seed=21, jobs=1)
     b = empirical_vs_closed_form(prob, [1, 2, 3], trials=501, seed=21, jobs=2)
     assert a == b
+
+
+_BLOCK = analysis._LEMMA_BLOCK
+
+
+@pytest.mark.parametrize(
+    "trials",
+    [100, 2 * _BLOCK + 17, _BLOCK + 1],
+    ids=["under-one-block", "ragged-last-block", "more-workers-than-blocks"],
+)
+def test_empirical_rows_are_equal_at_any_jobs(trials):
+    prob = GridProblem.product(
+        [MarkedSet.from_indices(16, [3]), MarkedSet.from_indices(9, [0, 4])]
+    )
+    rows = [
+        empirical_vs_closed_form(prob, [1, 2, 3], trials=trials, seed=8, jobs=jobs)
+        for jobs in (1, 2, 3)
+    ]
+    assert rows[0] == rows[1] == rows[2]
+
+
+def test_empirical_rows_replay_scalar_rounds_block_by_block():
+    # block b of row r: every (round, bucket) iteration count in order,
+    # then every uniform, on trial_rng(seed, r, b)
+    marks = [(16, [3]), (9, [0, 4])]
+    prob = GridProblem.product([MarkedSet.from_indices(n, m) for n, m in marks])
+    trials, seed = _BLOCK + 5, 4
+    rows = empirical_vs_closed_form(prob, [2, 3], trials=trials, seed=seed)
+    for row, m in enumerate([2, 3]):
+        hits = 0
+        for block, rounds in enumerate([_BLOCK, 5]):
+            rng = trial_rng(seed, row, block)
+            j = [[int(rng.integers(0, m)) for _ in marks] for _ in range(rounds)]
+            u = [[rng.random() for _ in marks] for _ in range(rounds)]
+            paths = [
+                [measure_closed_form(mk, n, t, x) for (n, mk), t, x in zip(marks, jr, ur)]
+                for jr, ur in zip(j, u)
+            ]
+            hits += int(prob.global_oracle(np.array(paths, dtype=np.int64)).sum())
+        assert rows[row].empirical == hits / trials
+
+
+def test_lemma_holds_at_the_scale_where_it_binds():
+    # three buckets of 2**20 with one mark each: alpha* is about 512, so
+    # these budgets lie between the threshold and the cap sqrt(n) = 1024
+    n = 2**20
+    prob = GridProblem.product([MarkedSet.from_indices(n, [n // 5 * i + 1]) for i in (1, 2, 3)])
+    assert 511 < lemma_threshold(stats_from_problem(prob)) < 513
+    rows = empirical_vs_closed_form(prob, [600, 800, 1024], trials=10**6, seed=3)
+    for row in rows:
+        assert row.closed_form >= 4.0**-3
+        assert abs(row.empirical - row.closed_form) <= 3 * row.sigma, row
 
 
 def test_runtime_trials_match_reference_loop_at_any_jobs():

@@ -15,11 +15,11 @@ from gridgrover import (
     grover_iterate,
     invert_about_mean,
     measure,
-    measure_closed_form,
     success_probability,
     uniform_init,
 )
 from gridgrover.grover import ClosedFormTables, measure_closed_form_grid
+from reference_sampler import measure_closed_form
 
 
 def test_uniform_init_amplitudes():

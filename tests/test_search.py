@@ -31,7 +31,6 @@ from gridgrover import (
     grover_iterate,
     lambda_upper_bound,
     measure,
-    measure_closed_form,
     run_bisect,
     run_grid_search,
     run_round,
@@ -39,6 +38,7 @@ from gridgrover import (
     uniform_init,
 )
 from gridgrover.cli import IndexSumCost
+from reference_sampler import measure_closed_form
 
 
 def test_default_lambda_values():
@@ -323,6 +323,66 @@ def test_run_round_matches_statevector_reference(n, fraction):
             want = _reference_round(ms, m, want_rng, strict)
             assert (got.path, got.iterations) == want, (m, strict, seed)
             assert got_rng.random() == want_rng.random()
+
+
+def _replayed_block_round(problem: GridProblem, m: float, rng, strict_paper: bool):
+    """One round as scalar calls on one generator: every bucket's
+    iteration count first (none when the limit is 0), then every
+    bucket's uniform, measured by the scalar reference sampler."""
+    his = [_hi(ms.size, m, strict_paper) for ms in problem.marked]
+    iterations = [int(rng.integers(0, hi + 1)) if hi > 0 else 0 for hi in his]
+    uniforms = [rng.random() for _ in his]
+    path = [
+        measure_closed_form(sorted(ms.marked), ms.size, j, u)
+        for ms, j, u in zip(problem.marked, iterations, uniforms)
+    ]
+    return tuple(path), tuple(iterations)
+
+
+@st.composite
+def round_cases(draw):
+    """Two to four buckets (empty, sparse and all-marked, sizes up to
+    2**53), a budget below, across or above the roots or +inf, and a seed."""
+    buckets = []
+    for _ in range(draw(st.integers(2, 4))):
+        n = draw(st.one_of(st.integers(1, 64), st.integers(1, 4096), st.integers(1, 2**53)))
+        if n <= 16 and draw(st.booleans()):
+            marks = range(n)
+        else:
+            marks = draw(st.sets(st.integers(0, n - 1), max_size=min(n, 16)))
+        buckets.append(MarkedSet.from_indices(n, marks))
+    m = draw(st.one_of(st.floats(1.0, 100.0), st.floats(1.0, 2.0**30), st.just(math.inf)))
+    return buckets, m, draw(st.booleans()), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(round_cases())
+@example(([MarkedSet.from_indices(4, [1]), MarkedSet.from_indices(9, range(9))], 1.0, False, 0))
+@example(([MarkedSet.from_indices(4, [1]), MarkedSet(2**40), MarkedSet.from_indices(8, [7])], math.inf, False, 5))
+@example(([MarkedSet.from_indices(4, [1]), MarkedSet.from_indices(2**53, [2**52])], math.inf, True, 6))
+def test_run_round_matches_the_replay_of_its_block(case):
+    buckets, m, strict, seed = case
+    problem = GridProblem.product(buckets)
+    got_rng, want_rng = trial_rng(seed), trial_rng(seed)
+    got = run_round(problem, m, got_rng, strict_paper=strict)
+    path, iterations = _replayed_block_round(problem, m, want_rng, strict)
+    assert got == (path, iterations, _judge(problem, path))
+    assert got_rng.random() == want_rng.random()
+
+
+@pytest.mark.parametrize("m", [math.nan, -math.inf, 0.0, 0.999])
+def test_run_round_refuses_a_budget_below_1_or_not_a_number(m):
+    prob = GridProblem.product([MarkedSet.from_indices(4, [1])])
+    with pytest.raises(ValueError, match="iteration budget m must be a number >= 1 or \\+inf"):
+        run_round(prob, m, trial_rng(0, 0))
+
+
+def test_run_round_at_an_infinite_budget_caps_every_bucket():
+    prob = GridProblem.product([MarkedSet.from_indices(4, [1]), MarkedSet.from_indices(10, [2])])
+    capped = {run_round(prob, math.inf, trial_rng(1, t)).iterations for t in range(200)}
+    assert capped == set(itertools.product(range(3), range(5)))
+    strict = {run_round(prob, math.inf, trial_rng(1, t), strict_paper=True).iterations for t in range(20)}
+    assert strict == {(0, 0)}
 
 
 def test_huge_buckets_sample_without_statevectors():
