@@ -175,7 +175,7 @@ def _product_problem(section: dict, where: str) -> tuple[GridProblem, dict]:
         MarkedSet.from_indices(n, _int_list(idxs, f"{where}.marked[{i}]") if idxs else [])
         for i, (n, idxs) in enumerate(zip(sizes, marked))
     ]
-    echo = {"bucket_sizes": sizes, "marked": [sorted(s.marked) for s in sets]}
+    echo = {"bucket_sizes": sizes, "marked": [s.marked.tolist() for s in sets]}
     return GridProblem.product(sets), echo
 
 
@@ -365,7 +365,7 @@ def cmd_brachistochrone(section: dict, seed: int, jobs: int):
         result["enumerate"] = {
             "bounds": [a, b],
             "solution_count": len(sol_paths),
-            "local_marked_sets": [sorted(ms.marked) for ms in table.marked_sets(a, b)],
+            "local_marked_sets": [ms.marked.tolist() for ms in table.marked_sets(a, b)],
             "cross_path_rate": table.cross_path_rate(a, b),
         }
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -71,35 +71,51 @@ class Register:
         return self.amplitudes.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarkedSet:
-    """Subset of a bucket's basis-state indices that are marked."""
+    """Subset of a bucket's basis-state indices that are marked.
+
+    ``marked`` is given as any iterable of integers (an array is read
+    whole) and held as one sorted, distinct, read-only int64 array,
+    range-checked once here; the sampler tables, the product oracle and
+    the cost projections read that array as is.  Marked sets compare by
+    identity: an array has no single truth value to compare by.
+    """
 
     size: int
-    marked: frozenset[int] = field(default_factory=frozenset)
+    marked: np.ndarray = ()
 
     def __post_init__(self) -> None:
         if self.size < 1:
             raise ValueError("marked set needs size >= 1")
-        marked = frozenset(int(i) for i in self.marked)
-        for i in marked:
+        read = np.array if isinstance(self.marked, np.ndarray) else np.fromiter
+        try:
+            marked = read(self.marked, dtype=np.int64)
+        except OverflowError:
+            raise ValueError(f"marked index outside [0, {self.size}): it does not fit in int64") from None
+        # projections arrive sorted and distinct; anything else is sorted
+        # and its repeats dropped (np.unique hashes first, and is slower)
+        if np.count_nonzero(marked[1:] <= marked[:-1]):
+            marked = np.sort(marked)
+            marked = marked[np.concatenate([[True], marked[1:] != marked[:-1]])]
+        for i in marked[:1].tolist() + marked[-1:].tolist():
             if not 0 <= i < self.size:
                 raise ValueError(f"marked index {i} outside [0, {self.size})")
+        marked.setflags(write=False)
         object.__setattr__(self, "marked", marked)
 
     @classmethod
     def from_indices(cls, size: int, indices: Iterable[int]) -> "MarkedSet":
-        return cls(size=size, marked=frozenset(int(i) for i in indices))
+        return cls(size=size, marked=indices)
 
     @property
     def count(self) -> int:
-        return len(self.marked)
+        return self.marked.size
 
     def indicator(self) -> np.ndarray:
         """Boolean mask of length ``size``, True on marked indices."""
         mask = np.zeros(self.size, dtype=bool)
-        if self.marked:
-            mask[np.fromiter(self.marked, dtype=int)] = True
+        mask[self.marked] = True
         return mask
 
 
@@ -211,12 +227,14 @@ def _class_probabilities(count: int, n: int, times: int) -> tuple[float, float]:
 
 class ClosedFormTables(NamedTuple):
     """Sorted marks of k buckets as :func:`measure_closed_form_grid` reads
-    them, one row per bucket.  Entry b of ``below`` counts the unmarked
-    indices below the b-th mark (0 for b = 0, +inf past the last mark, up
-    to a power-of-two width); entry b of ``first`` is the first index of
-    the b-th unmarked run, the run between the b-th and the (b+1)-th mark,
-    and of ``span`` the offset from there of the (b+1)-th mark (of n_i - 1
-    for the last run), the clamp of a draw inside the run."""
+    them, one row per bucket of M_i marks.  Entry b of ``below`` counts
+    the unmarked indices below the b-th mark (0 for b = 0), and is +inf
+    for every b > M_i, up to a power-of-two width; entry b of ``first``
+    is the first index of the b-th unmarked run, the run between the
+    b-th and the (b+1)-th mark, and of ``span`` the offset from there of
+    the (b+1)-th mark (of n_i - 1 for the last run), the clamp of a draw
+    inside the run.  Entries b > M_i of ``first`` and ``span`` are
+    padding that no draw reads."""
 
     below: np.ndarray
     first: np.ndarray
@@ -225,20 +243,24 @@ class ClosedFormTables(NamedTuple):
     size: tuple[int, ...]
 
     @classmethod
-    def from_marks(cls, marks: Sequence[Sequence[int]], sizes: Sequence[int]) -> "ClosedFormTables":
+    def from_marks(cls, marks: Sequence[np.ndarray], sizes: Sequence[int]) -> "ClosedFormTables":
+        """Tables of the buckets of ``sizes`` whose sorted, distinct marks
+        are ``marks`` (int64 arrays, as :class:`MarkedSet` holds them)."""
         count = tuple(len(m) for m in marks)
         widest = max(count)
-        probes = 1 << widest.bit_length()
-        below, first, span = [], [], []
-        for m, n in zip(marks, sizes):
-            starts, pad = [0, *(x + 1 for x in m)], [0] * (widest - len(m))
-            # floats: every count is below 2**53, so exact, and +inf is a
-            # probe whose CDF no draw reaches
-            below.append([0, *(x - t for t, x in enumerate(m)), *[math.inf] * (probes - len(m) - 1)])
-            first.append(starts + pad)
-            span.append([x - start for x, start in zip([*m, n - 1], starts)] + pad)
-        runs = np.array([first, span], dtype=np.int64)
-        return cls(np.array(below, dtype=np.float64), runs[0], runs[1], count, tuple(int(n) for n in sizes))
+        # row i: -1, the marks of bucket i, then n_i - 1 to its end
+        ends = np.repeat(np.array(sizes, dtype=np.int64)[:, None] - 1, widest + 2, axis=1)
+        ends[:, 0] = -1
+        for row, m in zip(ends, marks):
+            row[1 : len(m) + 1] = m
+        first = ends[:, :-1] + 1
+        runs = np.arange(widest + 1)
+        # floats: every count is below 2**53, so exact, and +inf is a
+        # probe whose CDF no draw reaches
+        below = np.full((len(count), 1 << widest.bit_length()), np.inf)
+        np.subtract(first, runs, out=below[:, : widest + 1])
+        np.copyto(below[:, : widest + 1], np.inf, where=runs > np.array(count)[:, None])
+        return cls(below, first, ends[:, 1:] - first, count, tuple(int(n) for n in sizes))
 
 
 def measure_closed_form_grid(

@@ -152,7 +152,7 @@ class GridProblem:
     @functools.cached_property
     def _tables(self) -> ClosedFormTables:
         # built on first use: a search that cannot pass never samples
-        return ClosedFormTables.from_marks([sorted(ms.marked) for ms in self.marked], self.sizes)
+        return ClosedFormTables.from_marks([ms.marked for ms in self.marked], self.sizes)
 
     @property
     def k(self) -> int:
@@ -165,14 +165,14 @@ class GridProblem:
     @property
     def has_empty_bucket(self) -> bool:
         """Whether some bucket has no marks, so that no path can pass."""
-        return not all(ms.marked for ms in self.marked)
+        return not all(ms.count for ms in self.marked)
 
     @classmethod
     def product(cls, marked_sets: Sequence[MarkedSet]) -> "GridProblem":
         """Build a product-mode problem straight from marked sets."""
         sets = tuple(marked_sets)
         end = np.iinfo(np.int64).max
-        marks = tuple(np.array([*sorted(ms.marked), end], dtype=np.int64) for ms in sets)
+        marks = tuple(np.append(ms.marked, end) for ms in sets)
         return cls(marked=sets, global_oracle=functools.partial(_in_every_bucket, marks))
 
 

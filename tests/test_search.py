@@ -126,7 +126,7 @@ def _replayed_round(problem: GridProblem, m: float, draws, measures, strict_pape
     for ms in problem.marked:
         hi = _hi(ms.size, m, strict_paper)
         j = int(draws.integers(0, hi + 1)) if hi > 0 else 0
-        path.append(measure_closed_form(sorted(ms.marked), ms.size, j, measures.random()))
+        path.append(measure_closed_form(ms.marked.tolist(), ms.size, j, measures.random()))
         iterations.append(j)
     return tuple(path), tuple(iterations)
 
@@ -333,7 +333,7 @@ def _replayed_block_round(problem: GridProblem, m: float, rng, strict_paper: boo
     iterations = [int(rng.integers(0, hi + 1)) if hi > 0 else 0 for hi in his]
     uniforms = [rng.random() for _ in his]
     path = [
-        measure_closed_form(sorted(ms.marked), ms.size, j, u)
+        measure_closed_form(ms.marked.tolist(), ms.size, j, u)
         for ms, j, u in zip(problem.marked, iterations, uniforms)
     ]
     return tuple(path), tuple(iterations)
