@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from concurrent import futures
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterable, Sequence
@@ -180,9 +181,11 @@ class LemmaCheckRow:
 def _over_trials(worker: Callable, args: tuple, units: int, jobs: int) -> list:
     """``worker(*args, lo, hi)`` for at most ``jobs`` contiguous ranges
     [lo, hi) of range(units), in order, on a process pool when ``jobs`` > 1
-    (so they must pickle); each unit, a block of lemma trials or one
-    runtime trial, has its own generator, so the split changes nothing."""
-    jobs = max(1, min(jobs, units))
+    (so they must pickle), no more than the CPUs this process may run on;
+    each unit, a block of lemma trials or one runtime trial, has its own
+    generator, so the split changes nothing."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    jobs = max(1, min(jobs, units, cpus))
     bounds = [i * units // jobs for i in range(jobs + 1)]
     call = functools.partial(worker, *args)
     if jobs == 1:

@@ -172,7 +172,7 @@ def _product_problem(section: dict, where: str) -> tuple[GridProblem, dict]:
     if not isinstance(marked, list) or len(marked) != len(sizes):
         raise ConfigError(f"{where}.marked must list one index set per bucket")
     sets = [
-        MarkedSet.from_indices(n, _int_list(idxs, f"{where}.marked[{i}]") if idxs else [])
+        MarkedSet.from_indices(n, [] if idxs == [] else _int_list(idxs, f"{where}.marked[{i}]"))
         for i, (n, idxs) in enumerate(zip(sizes, marked))
     ]
     echo = {"bucket_sizes": sizes, "marked": [s.marked.tolist() for s in sets]}

@@ -73,14 +73,10 @@ class Register:
 
 @dataclass(frozen=True, eq=False)
 class MarkedSet:
-    """Subset of a bucket's basis-state indices that are marked.
-
-    ``marked`` is given as any iterable of integers (an array is read
-    whole) and held as one sorted, distinct, read-only int64 array,
-    range-checked once here; the sampler tables, the product oracle and
-    the cost projections read that array as is.  Marked sets compare by
-    identity: an array has no single truth value to compare by.
-    """
+    """Subset of a bucket's basis-state indices that are marked, given as
+    any iterable of integers and held as one sorted, distinct, read-only
+    int64 array that every consumer reads as is.  Compares by identity:
+    an array has no single truth value to compare by."""
 
     size: int
     marked: np.ndarray = ()
@@ -93,14 +89,12 @@ class MarkedSet:
             marked = read(self.marked, dtype=np.int64)
         except OverflowError:
             raise ValueError(f"marked index outside [0, {self.size}): it does not fit in int64") from None
-        # projections arrive sorted and distinct; anything else is sorted
-        # and its repeats dropped (np.unique hashes first, and is slower)
-        if np.count_nonzero(marked[1:] <= marked[:-1]):
+        if np.count_nonzero(marked[1:] <= marked[:-1]):  # a projection is sorted; np.unique is slower
             marked = np.sort(marked)
             marked = marked[np.concatenate([[True], marked[1:] != marked[:-1]])]
-        for i in marked[:1].tolist() + marked[-1:].tolist():
-            if not 0 <= i < self.size:
-                raise ValueError(f"marked index {i} outside [0, {self.size})")
+        if marked.size and not 0 <= marked[0] <= marked[-1] < self.size:
+            bad = marked[0] if marked[0] < 0 else marked[-1]
+            raise ValueError(f"marked index {bad} outside [0, {self.size})")
         marked.setflags(write=False)
         object.__setattr__(self, "marked", marked)
 
@@ -227,13 +221,12 @@ def _class_probabilities(count: int, n: int, times: int) -> tuple[float, float]:
 
 class ClosedFormTables(NamedTuple):
     """Sorted marks of k buckets as :func:`measure_closed_form_grid` reads
-    them, one row per bucket of M_i marks.  Entry b of ``below`` counts
-    the unmarked indices below the b-th mark (0 for b = 0), and is +inf
-    for every b > M_i, up to a power-of-two width; entry b of ``first``
-    is the first index of the b-th unmarked run, the run between the
-    b-th and the (b+1)-th mark, and of ``span`` the offset from there of
-    the (b+1)-th mark (of n_i - 1 for the last run), the clamp of a draw
-    inside the run.  Entries b > M_i of ``first`` and ``span`` are
+    them, one row per bucket of M_i marks.  Entry b of ``below`` counts the
+    unmarked indices below the b-th mark (0 for b = 0; +inf for b > M_i, up
+    to a power-of-two width); entry b of ``first`` is the first index of
+    the b-th unmarked run, between the b-th and the (b+1)-th mark, and of
+    ``span`` the offset from there of the (b+1)-th mark (of n_i - 1 for the
+    last run), the clamp of a draw in the run; their entries b > M_i are
     padding that no draw reads."""
 
     below: np.ndarray
@@ -244,19 +237,13 @@ class ClosedFormTables(NamedTuple):
 
     @classmethod
     def from_marks(cls, marks: Sequence[np.ndarray], sizes: Sequence[int]) -> "ClosedFormTables":
-        """Tables of the buckets of ``sizes`` whose sorted, distinct marks
-        are ``marks`` (int64 arrays, as :class:`MarkedSet` holds them)."""
         count = tuple(len(m) for m in marks)
         widest = max(count)
-        # row i: -1, the marks of bucket i, then n_i - 1 to its end
-        ends = np.repeat(np.array(sizes, dtype=np.int64)[:, None] - 1, widest + 2, axis=1)
-        ends[:, 0] = -1
-        for row, m in zip(ends, marks):
-            row[1 : len(m) + 1] = m
-        first = ends[:, :-1] + 1
-        runs = np.arange(widest + 1)
-        # floats: every count is below 2**53, so exact, and +inf is a
-        # probe whose CDF no draw reaches
+        ends = np.full((len(count), widest + 2), -1, dtype=np.int64)
+        for row, m, n in zip(ends, marks, sizes):  # -1, the sorted marks, then n_i - 1 to the end
+            row[1 : len(m) + 1], row[len(m) + 1 :] = m, n - 1
+        first, runs = ends[:, :-1] + 1, np.arange(widest + 1)
+        # floats: every count is below 2**53, so exact, and +inf is a probe whose CDF no draw reaches
         below = np.full((len(count), 1 << widest.bit_length()), np.inf)
         np.subtract(first, runs, out=below[:, : widest + 1])
         np.copyto(below[:, : widest + 1], np.inf, where=runs > np.array(count)[:, None])

@@ -171,8 +171,7 @@ class GridProblem:
     def product(cls, marked_sets: Sequence[MarkedSet]) -> "GridProblem":
         """Build a product-mode problem straight from marked sets."""
         sets = tuple(marked_sets)
-        end = np.iinfo(np.int64).max
-        marks = tuple(np.append(ms.marked, end) for ms in sets)
+        marks = tuple(np.append(ms.marked, np.iinfo(np.int64).max) for ms in sets)
         return cls(marked=sets, global_oracle=functools.partial(_in_every_bucket, marks))
 
 

@@ -526,10 +526,7 @@ class CostTable:
         return [grid.any(axis=tuple(a for a in axes if a != i), keepdims=True) for i in axes]
 
     def _project(self, mask: np.ndarray) -> list[MarkedSet]:
-        return [
-            MarkedSet.from_indices(n, np.flatnonzero(hit))
-            for n, hit in zip(self.sizes, self._projections(mask))
-        ]
+        return [MarkedSet(n, np.flatnonzero(hit)) for n, hit in zip(self.sizes, self._projections(mask))]
 
     def minimum(self) -> tuple[tuple[int, ...], float]:
         """Cheapest path; ties resolve to the lexicographically first."""

@@ -209,6 +209,41 @@ def test_runtime_trials_match_reference_loop_at_any_jobs():
     assert runtime_trials(prob, params, 25, jobs=2) == want
 
 
+class _InProcessPool:
+    """Stands in for ``ProcessPoolExecutor``: records its worker count and
+    maps in this process, so no process starts."""
+
+    started: list = []
+
+    def __init__(self, max_workers):
+        self.started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("affinity, cpu_count, workers", [({0, 1}, 64, 2), ({3}, 64, 1), (None, 3, 3)])
+def test_trial_workers_are_capped_at_the_available_cpus(monkeypatch, affinity, cpu_count, workers):
+    prob = GridProblem.product([MarkedSet.from_indices(16, [5]), MarkedSet.from_indices(16, [11])])
+    params = ScheduleParams(seed=9, max_rounds=12)
+    want = runtime_trials(prob, params, 200, jobs=1)
+    monkeypatch.setattr(analysis.futures, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: cpu_count)
+    if affinity is None:
+        monkeypatch.delattr(analysis.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(analysis.os, "sched_getaffinity", lambda pid: affinity)
+    monkeypatch.setattr(_InProcessPool, "started", [])
+    assert runtime_trials(prob, params, 200, jobs=200) == want
+    assert _InProcessPool.started == ([] if workers == 1 else [workers])
+
+
 def test_empirical_rejects_capped_regime():
     prob = GridProblem.product([MarkedSet.from_indices(4, [1])])
     with pytest.raises(ValueError):

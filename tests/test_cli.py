@@ -193,6 +193,18 @@ def test_mistyped_fields_exit_1_with_one_line(tmp_path, capsys, payload):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("bucket", [0, None, {}, ""], ids=["zero", "null", "object", "string"])
+@pytest.mark.parametrize("mode, extra", [("search", {}), ("analyze", {"task": "runtime", "trials": 2})])
+def test_falsy_non_list_bucket_marks_exit_1(tmp_path, capsys, mode, extra, bucket):
+    # only [] is an empty bucket; these used to run as one and exit 2
+    cfg = write_config(tmp_path, mode_config(mode, {**extra, "bucket_sizes": [4, 4], "marked": [bucket, [1]]}))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {mode}.marked[0] ") and err.count("\n") == 1
+
+
 def test_usage_error_exits_1():
     assert main([]) == EXIT_CONFIG
     assert main(["--config"]) == EXIT_CONFIG

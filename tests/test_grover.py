@@ -141,6 +141,53 @@ def test_validation_errors():
         apply_oracle(uniform_init(4), MarkedSet.from_indices(5, [0]))
 
 
+_MARK_INPUTS = {
+    "list": list,
+    "set": set,
+    "generator": lambda xs: (x for x in xs),
+    "array": lambda xs: np.array(xs, dtype=np.int64),
+    "sorted array": lambda xs: np.array(sorted(set(xs)), dtype=np.int64),
+}
+
+
+@st.composite
+def mark_inputs(draw):
+    """A bucket size, marks in any order with repeats, and an input form."""
+    n = draw(st.one_of(st.integers(1, 64), st.integers(1, 2**62)))
+    xs = draw(st.lists(st.integers(0, n - 1), max_size=40))
+    return n, xs, draw(st.sampled_from(sorted(_MARK_INPUTS)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mark_inputs())
+@example((8, [5, 1, 5, 0, 7, 1], "array"))
+@example((2**62, [2**62 - 1, 0, 2**61], "generator"))
+def test_marked_set_holds_sorted_distinct_read_only_int64(case):
+    n, xs, kind = case
+    given_marks = _MARK_INPUTS[kind](xs)
+    ms = MarkedSet(n, given_marks)
+    assert ms.marked.dtype == np.int64 and ms.marked.ndim == 1
+    assert not ms.marked.flags.writeable
+    assert ms.marked.tolist() == sorted(set(xs)) and ms.count == len(set(xs))
+    if isinstance(given_marks, np.ndarray):  # the caller's array is copied, not frozen
+        assert given_marks.flags.writeable
+    if n <= 64:
+        assert np.flatnonzero(ms.indicator()).tolist() == ms.marked.tolist()
+
+
+@pytest.mark.parametrize("form", [list, lambda xs: np.array(xs, dtype=np.int64)], ids=["list", "array"])
+@pytest.mark.parametrize("n, bad", [(4, -1), (4, 4), (4, 9), (2**40, 2**40), (5, -(2**63))])
+def test_marked_index_outside_the_bucket_is_refused(form, n, bad):
+    with pytest.raises(ValueError, match=rf"^marked index {bad} outside \[0, {n}\)$"):
+        MarkedSet(n, form([1, bad, 0]))
+
+
+@pytest.mark.parametrize("bad", [2**63, -(2**63) - 1, 2**80])
+def test_marked_index_beyond_int64_is_a_value_error(bad):
+    with pytest.raises(ValueError, match=r"^marked index outside \[0, 8\): it does not fit in int64$"):
+        MarkedSet(8, [1, bad])
+
+
 @st.composite
 def bucket_draws(draw):
     n = draw(st.integers(1, 512))
@@ -220,3 +267,6 @@ def test_array_sampler_matches_scalar_bit_for_bit(case):
         for row_t, row_u in zip(times, u)
     ]
     assert got.tolist() == want
+    # the same marks as int64 arrays, the form MarkedSet holds them in
+    arrays = ClosedFormTables.from_marks([np.array(m, dtype=np.int64) for _, m in buckets], [n for n, _ in buckets])
+    assert measure_closed_form_grid(arrays, np.array(times, dtype=np.int64), np.array(u)).tolist() == want
