@@ -8,7 +8,8 @@ and writes, per config, its exit code and the SHA-256 of ``report.json``
 numpy version the digests were made with.  ``tests/test_seeded_corpus.py``
 reruns the configs and compares.  The configs cover every mode, both
 interpolation kinds, both bisection backends, a strict search and a
-search with an empty bucket, and run the lemma and runtime analyses at
+search with an empty bucket, a board of 68,921 paths that spans two
+scan chunks of rows, and run the lemma and runtime analyses at
 ``--jobs`` 1 and 2.  Regenerate the file only for a change that is meant
 to change seeded outputs, and say which in the change's notes.
 """
@@ -47,6 +48,9 @@ CONFIGS: dict[str, tuple[dict, int, int]] = {
     "brachistochrone-polynomial": ({"mode": "brachistochrone", "brachistochrone": _BOARD}, 11, 1),
     "brachistochrone-linear": (
         {"mode": "brachistochrone", "brachistochrone": {**_BOARD, "interpolation": "linear"}}, 11, 1),
+    "brachistochrone-chunks": (
+        {"mode": "brachistochrone",
+         "brachistochrone": {"k": 3, "n": 41, "enumerate": [1.0, 1.012], "bisect": {"max_count": 4}}}, 19, 1),
     "lemma-jobs1": ({"mode": "analyze", "analyze": _LEMMA}, 13, 1),
     "lemma-jobs2": ({"mode": "analyze", "analyze": _LEMMA}, 13, 2),
     "runtime-jobs1": ({"mode": "analyze", "analyze": _RUNTIME}, 17, 1),
