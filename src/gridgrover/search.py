@@ -425,8 +425,18 @@ def run_grid_search(problem: GridProblem, params: ScheduleParams) -> SearchOutco
     return SearchOutcome(path is not None, path, done, ledger)
 
 
-# Paths the exhaustive scan judges per oracle call.
+# Paths per step of the exhaustive scan and of a cost table's build.
 _SCAN_CHUNK = 1 << 16
+
+
+def _path_chunks(sizes: tuple[int, ...]) -> Iterator[tuple[int, np.ndarray]]:
+    """Every path of the product of ``range(n)`` for n in ``sizes``, in
+    lexicographic order, ``_SCAN_CHUNK`` rows at a time: the first row's
+    row-major index and the ``(B, k)`` int64 paths from there on."""
+    space = math.prod(sizes)
+    for first in range(0, space, _SCAN_CHUNK):
+        rows = np.arange(first, min(first + _SCAN_CHUNK, space))
+        yield first, np.column_stack(np.unravel_index(rows, sizes))
 
 
 def exhaustive_search(problem: GridProblem, cap: int = 10_000_000) -> SearchOutcome:
@@ -436,16 +446,13 @@ def exhaustive_search(problem: GridProblem, cap: int = 10_000_000) -> SearchOutc
     visits every tuple (the Theta(prod n_i) cost the amplified search is
     measured against); a problem with a bucket without marks is charged
     that full scan without asking the oracle."""
-    sizes = problem.sizes
-    space = math.prod(sizes)
+    space = math.prod(problem.sizes)
     if space > cap:
         raise ValueError(f"search space {space} exceeds enumeration cap {cap}")
     ledger = QueryLedger([0] * problem.k, global_oracle_calls=space, rounds=1)
     if problem.has_empty_bucket:
         return SearchOutcome(False, None, 1, ledger)
-    for first in range(0, space, _SCAN_CHUNK):
-        rows = np.arange(first, min(first + _SCAN_CHUNK, space))
-        paths = np.column_stack(np.unravel_index(rows, sizes))
+    for first, paths in _path_chunks(problem.sizes):
         accepted = np.flatnonzero(problem.global_oracle(paths))
         if accepted.size:
             ledger.global_oracle_calls = first + int(accepted[0]) + 1

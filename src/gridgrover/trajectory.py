@@ -42,7 +42,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .grover import MarkedSet
-from .search import GridProblem
+from .search import GridProblem, _path_chunks
 
 __all__ = [
     "DESK_SCALE_CAP",
@@ -454,10 +454,10 @@ def cycloid_descent_time(g: float = 9.8) -> float:
 
 @dataclass
 class CostTable:
-    """Every path of a product space with its cost, in lexicographic order."""
+    """The cost of every path of a product space, in lexicographic order:
+    row r is the path whose row-major index is r; no array holds it."""
 
     sizes: tuple[int, ...]
-    paths: np.ndarray
     costs: np.ndarray
 
     @classmethod
@@ -466,37 +466,29 @@ class CostTable:
 
         ``cost`` is a batch cost model: ``cost.costs(paths)`` maps a
         ``(B, k)`` int64 array of paths to their B float costs, and is
-        called once, on every path in lexicographic order.  ValueError for
-        a bucket size below 1 or a product space larger than ``cap``."""
+        called chunk by chunk, in lexicographic order.  ValueError for a
+        bucket size below 1 or a product space larger than ``cap``."""
         sizes = tuple(int(n) for n in sizes)
         if any(n < 1 for n in sizes):
             raise ValueError("bucket sizes must be >= 1")
         space = math.prod(sizes)
         if space > cap:
             raise ValueError(f"product space {space} exceeds enumeration cap {cap}")
-        paths = np.indices(sizes).reshape(len(sizes), -1).T.copy()
-        return cls(sizes=sizes, paths=paths, costs=cost.costs(paths))
+        costs = np.empty(space)
+        for first, paths in _path_chunks(sizes):
+            costs[first : first + len(paths)] = cost.costs(paths)
+        return cls(sizes=sizes, costs=costs)
 
     def cost_of(self, path: Sequence[int]) -> float:
-        return float(self.costs[self._flat_index(path)])
-
-    def _flat_index(self, path: Sequence[int]) -> int:
-        """Row-major position of ``path`` in the table; ValueError if it
-        has the wrong length or a coordinate outside its bucket."""
-        if len(path) != len(self.sizes):
-            raise ValueError(f"path {tuple(path)} needs {len(self.sizes)} coordinates")
-        flat = 0
-        for i, n in zip(map(int, path), self.sizes):
-            if not 0 <= i < n:
-                raise ValueError(f"coordinate {i} outside [0, {n})")
-            flat = flat * n + i
-        return flat
+        """Cost of one path; ValueError for a path outside the table."""
+        return float(_in_window(self.costs, self.sizes, np.array([path]))[0])
 
     def solution_mask(self, a: float, b: float) -> np.ndarray:
         return (self.costs > a) & (self.costs < b)
 
     def solution_paths(self, a: float, b: float) -> list[tuple[int, ...]]:
-        return [tuple(int(i) for i in row) for row in self.paths[self.solution_mask(a, b)]]
+        rows = np.flatnonzero(self.solution_mask(a, b))
+        return list(zip(*(c.tolist() for c in np.unravel_index(rows, self.sizes))))
 
     def marked_sets(self, a: float, b: float) -> list[MarkedSet]:
         """Per-column projection of the solution set (the marked sets
@@ -531,13 +523,13 @@ class CostTable:
     def minimum(self) -> tuple[tuple[int, ...], float]:
         """Cheapest path; ties resolve to the lexicographically first."""
         idx = int(np.argmin(self.costs))
-        return tuple(int(i) for i in self.paths[idx]), float(self.costs[idx])
+        return tuple(int(i) for i in np.unravel_index(idx, self.sizes)), float(self.costs[idx])
 
 
-def _in_window(mask: np.ndarray, sizes: tuple[int, ...], paths: np.ndarray) -> np.ndarray:
-    """``mask`` at each row of ``paths``; ValueError for rows of the wrong
-    length or with a coordinate outside its bucket."""
-    return mask[np.ravel_multi_index(paths.T, sizes)]
+def _in_window(values: np.ndarray, sizes: tuple[int, ...], paths: np.ndarray) -> np.ndarray:
+    """``values`` (one per table row) at each row of ``paths``; ValueError
+    for rows of the wrong length or with a coordinate outside its bucket."""
+    return values[np.ravel_multi_index(paths.T, sizes)]
 
 
 @dataclass

@@ -39,6 +39,13 @@ class TabulatedCost:
         return self.values[tuple(paths.T)]
 
 
+def _paths(table, rows=None):
+    """The paths at the flat ``rows`` of ``table`` (every row by default),
+    one per row: row r of a table is the path whose row-major index is r."""
+    rows = np.arange(table.costs.size) if rows is None else rows
+    return np.column_stack(np.unravel_index(rows, table.sizes))
+
+
 def test_grid_ordinates_exclude_zero():
     grid = build_brachistochrone_grid(1, [4])
     assert_allclose(grid.columns[0], [0.5, 1.0, 1.5, 2.0])
@@ -237,7 +244,7 @@ def test_single_path_cost_is_the_table_entry(kind):
     # span several evaluation blocks), bit for bit
     grid = build_brachistochrone_grid(3, 8)
     table = CostTable.build(grid.sizes, BrachistochroneCost(grid, kind=kind))
-    for path in table.paths:
+    for path in _paths(table):
         assert brachistochrone_cost(grid, tuple(path), kind=kind) == table.cost_of(path)
 
 
@@ -272,13 +279,13 @@ def test_costs_of_a_shuffled_subset_with_repeats_are_the_table_entries(kind):
     assert np.isfinite(table.costs).any()
     rng = np.random.default_rng(11)
     for size in (1, 7, 60, 300):
-        pick = rng.integers(0, len(table.paths), size)
-        assert cost.costs(table.paths[pick]).tobytes() == table.costs[pick].tobytes()
-    pick = rng.permutation(len(table.paths))[:40]
-    assert cost.costs(table.paths[pick]).tobytes() == table.costs[pick].tobytes()
+        pick = rng.integers(0, table.costs.size, size)
+        assert cost.costs(_paths(table, pick)).tobytes() == table.costs[pick].tobytes()
+    pick = rng.permutation(table.costs.size)[:40]
+    assert cost.costs(_paths(table, pick)).tobytes() == table.costs[pick].tobytes()
     # and the entries are descent times over a curve that ends at y = 0.3
     for flat in (0, 70, int(np.argmin(table.costs))):
-        path = tuple(table.paths[flat])
+        path = tuple(_paths(table, [flat])[0])
         if np.isfinite(table.costs[flat]):
             reference = _reference_descent_time(UNEVEN_GRID, path, kind)
             assert abs(table.costs[flat] - reference) <= 1e-5 * reference
@@ -329,6 +336,28 @@ def test_polynomial_positivity_is_blocked_like_the_quadrature():
     assert peak < 11 * 2**20
 
 
+def test_table_builds_chunk_by_chunk_in_bounded_memory():
+    # 4,194,304 paths: their costs take 32 MiB, and all paths at once (with
+    # the sums over them) peaked at 256 MiB
+    sizes = (64, 64, 64, 16)
+    tracemalloc.start()
+    try:
+        table = CostTable.build(sizes, IndexSumCost(sizes=sizes))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    # each of the 64 chunks of 2**16 rows starts at path (c, 0, 0, 0)
+    assert table.costs[2**16 * np.arange(64)].tolist() == list(range(64))
+    assert table.costs.sum() == 102.0 * table.costs.size
+    assert table.minimum() == ((0, 0, 0, 0), 0.0)
+    # a window across the last two chunks
+    assert table.solution_paths(202.5, 204.5) == [
+        (62, 63, 63, 15), (63, 62, 63, 15), (63, 63, 62, 15), (63, 63, 63, 14), (63, 63, 63, 15),
+    ]
+    assert table.cost_of((1, 0, 0, 0)) == 1.0
+
+
 @pytest.mark.parametrize("path", [(1,), (1, 1, 1), (-1, 0), (0, -3), (3, 0), (0, 2), (7, 7)])
 def test_cost_of_rejects_paths_outside_the_table(path):
     table = CostTable.build((3, 2), IndexSumCost(sizes=(3, 2)))
@@ -338,7 +367,7 @@ def test_cost_of_rejects_paths_outside_the_table(path):
 
 def test_cost_table_order_lookup_minimum():
     table = CostTable.build((3, 2), IndexSumCost(sizes=(3, 2)))
-    assert [tuple(p) for p in table.paths] == [
+    assert [tuple(p) for p in _paths(table)] == [
         (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1),
     ]
     assert table.cost_of((2, 1)) == 3.0
@@ -420,8 +449,8 @@ def test_range_oracle_reads_the_solution_mask(sizes):
     for a, b in [(0.5, 3.5), (-1.0, 0.5), (2.0, 2.5), (-1.0, 99.0)]:
         oracle = fam(a, b).global_oracle
         # every path, in table order and reversed
-        assert oracle(table.paths).tolist() == table.solution_mask(a, b).tolist()
-        assert oracle(table.paths[::-1]).tolist() == table.solution_mask(a, b)[::-1].tolist()
+        assert oracle(_paths(table)).tolist() == table.solution_mask(a, b).tolist()
+        assert oracle(_paths(table)[::-1]).tolist() == table.solution_mask(a, b)[::-1].tolist()
     bad_rows = [
         np.zeros((2, len(sizes) + 1), dtype=np.int64),  # one coordinate too many
         np.array([[n - 1 for n in sizes], [*[0] * (len(sizes) - 1), sizes[-1]]]),  # out of range
