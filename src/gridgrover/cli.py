@@ -361,7 +361,8 @@ def cmd_brachistochrone(section: dict, seed: int, jobs: int):
         effective["enumerate"] = [a, b]
         sol_paths = table.solution_paths(a, b)
         header = [f"i{j}" for j in range(grid.k)] + ["cost"]
-        tables["enumeration.csv"] = (header, [[*p, table.cost_of(p)] for p in sol_paths])
+        sol_costs = table.costs[table.solution_mask(a, b)].tolist()
+        tables["enumeration.csv"] = (header, [[*p, c] for p, c in zip(sol_paths, sol_costs)])
         result["enumerate"] = {
             "bounds": [a, b],
             "solution_count": len(sol_paths),

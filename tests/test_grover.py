@@ -254,7 +254,7 @@ def sampler_grids(draw):
     [[0.9999, 0.97, 0.3], [0.001, 0.0, 0.9], [0.5, 0.99, 0.0]],
 ))
 @example((
-    [(2**53, [2**49 * t for t in range(1, 17)]), (16, list(range(16)))],
+    [(2**53, [2**49 * t for t in range(16)]), (16, list(range(16)))],
     [[1, 0], [7, 2], [0, 3]],
     [[0.99999, 0.97], [0.0001, 0.5], [0.5, 0.0]],
 ))
